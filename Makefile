@@ -82,9 +82,12 @@ race:
 
 # race-psim runs the parallel-engine packages under the race detector on
 # their own so a full-suite race run is never the only thing standing
-# between a barrier bug and main.
+# between a barrier bug and main. The second pass pins the engine to one
+# P: every barrier wait then takes the yield-immediately branch, and
+# TestOversubscribed runs more shards than GOMAXPROCS in both passes.
 race-psim:
 	$(GO) test -race -count=1 ./internal/psim ./internal/system
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/psim
 
 # race-fleet runs the service tier — coordinator, worker HTTP layer, and
 # runner — under the race detector with caching disabled, so the fleet's

@@ -112,7 +112,7 @@ type ParallelFabric struct {
 	locals  []*tileLocal
 	visitFn func(src int, at uint64, p parcel)
 
-	// EpochHook, when set before Drive, runs on the driver thread at every
+	// EpochHook, when set before Drive, runs on Drive's goroutine at every
 	// epoch barrier (see psim.Engine.OnEpoch). The occupancy sampler hooks
 	// here: the barrier grid is deterministic and shard-count-invariant.
 	EpochHook func(start, end sim.Cycle)

@@ -5,13 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// barrier is a reusable sense-reversing spin barrier for n participants.
+// barrier is a reusable sense-reversing spin barrier for n participants:
+// one per worker, where worker 0 is the goroutine that called Engine.Run.
 // Epochs are short (a handful of events per shard), so parking on a
 // channel or sync.Cond per epoch would dominate the run time; arrivals
 // spin on a generation counter and yield to the scheduler only after a
 // bounded burst, which keeps the barrier in the tens of nanoseconds when
 // all participants are runnable while staying polite when the machine is
-// oversubscribed.
+// oversubscribed (Shards > GOMAXPROCS). With one participant await returns
+// at once.
 //
 // The atomics carry the happens-before edges the engine relies on: every
 // write a participant made before arriving (epoch window, queue contents,

@@ -2,13 +2,14 @@ package psim
 
 // Mailbox is one LP's outgoing cross-LP message buffer: a growable FIFO
 // ring of (cycle, value) entries, appended by the owning LP during an
-// epoch and drained by the driver at the barrier. One mailbox per source
+// epoch and drained by the merge at the barrier. One mailbox per source
 // LP, with the destination carried inside T, is the flattened form of a
 // per-(source, destination) mailbox matrix: entries for one destination
 // appear in send order because the whole ring is in send order.
 //
-// Only the owning LP pushes and only the barrier-holding driver drains, so
-// the mailbox needs no internal synchronization — the epoch barrier is the
+// Only the owning LP pushes, and only the merge drains — on the goroutine
+// that called Engine.Run, while every other worker is parked — so the
+// mailbox needs no internal synchronization: the epoch barrier is the
 // synchronization.
 //
 //stash:tileowned
@@ -71,8 +72,9 @@ func (m *Mailbox[T]) pop() entry[T] {
 // k-way head scan suffices; ties on cycle resolve to the lowest source
 // rank, and entries from one source preserve ring (send) order. This is
 // the merge front of the epoch protocol: it runs single-threaded on the
-// driver with every worker parked, and its order is a pure function of
-// the epoch's sends, never of the shard layout.
+// goroutine that called Engine.Run with every other worker parked, and its
+// order is a pure function of the epoch's sends, never of the shard
+// layout.
 //
 //stash:hotpath
 func Drain[T any](boxes []*Mailbox[T], visit func(src int, at uint64, v T)) {

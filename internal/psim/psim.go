@@ -10,12 +10,24 @@
 // timing wheel, heap, clock and insertion-sequence counter; see
 // sim.EventQueue). During an epoch an LP may only schedule onto itself;
 // everything that crosses LPs is deferred into a per-source Mailbox and
-// merged by the single-threaded driver at the epoch barrier. Epochs are
+// merged on the calling goroutine at the epoch barrier. Epochs are
 // aligned windows [k·L, (k+1)·L) whose width L (the lookahead) must not
 // exceed the minimum latency of any cross-LP interaction — for the NoC,
 // the minimum cross-tile hop latency — so a message emitted during epoch k
 // can never be due before epoch k+1 begins, and executing the epochs of
 // different LPs concurrently is safe.
+//
+// # Schedule
+//
+// LPs are split into Shards contiguous rank blocks. The goroutine that
+// calls Run is worker 0 and owns the first block; Run spawns Shards-1
+// further workers for the rest, so Shards=1 runs with no goroutines at all
+// and Shards <= GOMAXPROCS never puts more spinning goroutines than CPUs
+// on the barrier. Each epoch, every worker runs each LP it owns to the
+// epoch end in turn (sim.Engine.RunUntil), then all Shards participants
+// meet at the barrier. The serial section — event budget, OnEpoch, merge,
+// choosing the next window — runs on the calling goroutine while the
+// other workers are parked.
 //
 // # Determinism
 //
@@ -27,11 +39,14 @@
 //
 //   - Within one LP, events fire in the LP's own (cycle, sequence) order —
 //     a property of its private queue, untouched by parallelism.
-//   - Across LPs, same-cycle events commute: they touch disjoint LP state,
-//     and all cross-LP effects are mailbox appends that the driver replays
-//     in the canonical (cycle, source rank, send order) order at the
-//     barrier, on one thread. The shard layout therefore cannot leak into
-//     any simulation-visible value.
+//   - Across LPs, events within one epoch commute: they touch disjoint
+//     LP state, and all cross-LP effects are mailbox appends that the
+//     merge replays in the canonical (cycle, source rank, send order)
+//     order at the barrier, on one goroutine. So running LP 0 to the epoch
+//     end, then LP 1, and so on yields exactly the state that stepping
+//     the globally (cycle, rank)-minimal event would, and neither the
+//     shard layout nor the LP-sequential schedule can leak into any
+//     simulation-visible value.
 //
 // Note what this does *not* promise: the legacy serial engine's order is
 // (cycle, global insertion sequence), a history-dependent interleaving of
@@ -44,6 +59,7 @@ package psim
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -70,35 +86,38 @@ type Engine struct {
 	cfg Config
 	lps []*sim.Engine
 
-	workers     []worker
-	start       barrier
-	driverSense uint32
-	stop        bool
+	// workers[0] is the goroutine that calls Run; workers[1:] are spawned
+	// by it. The barrier has one participant per worker.
+	workers []worker
+	start   barrier
+	stop    bool
 
-	// Epoch window, written by the driver between barriers (the barrier's
+	// Epoch window, written by the caller between barriers (the barrier's
 	// happens-before edges publish them to the workers).
 	epochEnd sim.Cycle
 
-	// OnEpoch, when set, runs on the driver thread at each epoch barrier,
-	// after the workers have drained the epoch and before the cross-LP
-	// merge. start and end are the epoch window. Samplers hook here: the
-	// barrier grid is part of the deterministic schedule, so observations
-	// taken at it are shard-count-invariant too.
+	// OnEpoch, when set, runs on the calling goroutine at each epoch
+	// barrier, after the workers have drained the epoch and before the
+	// cross-LP merge. start and end are the epoch window. Samplers hook
+	// here: the barrier grid is part of the deterministic schedule, so
+	// observations taken at it are shard-count-invariant too. Like merge,
+	// it must not schedule anything before end.
 	OnEpoch func(start, end sim.Cycle)
 }
 
-// worker owns a contiguous block of LPs and steps them through one epoch
-// at a time. next/has cache each LP's earliest event time so the inner
-// loop's min scan does not re-query drained queues.
+// worker owns a contiguous block of LPs and runs them through one epoch at
+// a time. steps counts the events it has executed across all epochs;
+// next/has hold the earliest event left in its LPs when its last epoch
+// ended (before the merge).
 //
 //stash:tileowned
 type worker struct {
 	eng     *Engine
 	engines []*sim.Engine
-	next    []sim.Cycle
-	has     []bool
 	sense   uint32
 	steps   uint64
+	next    sim.Cycle
+	has     bool
 }
 
 // New builds a parallel engine over the given LP queues. LP rank is the
@@ -118,26 +137,18 @@ func New(cfg Config, lps []*sim.Engine) (*Engine, error) {
 	e.workers = make([]worker, cfg.Shards)
 	// Contiguous block partition: neighbors on the mesh tend to land in
 	// the same shard, and the assignment is a pure function of (len(lps),
-	// Shards) — though correctness never depends on the layout.
-	per := (len(lps) + cfg.Shards - 1) / cfg.Shards
+	// Shards) — though correctness never depends on the layout. Block
+	// sizes differ by at most one, so every worker owns at least one LP.
 	for i := range e.workers {
-		lo := i * per
-		hi := lo + per
-		if hi > len(lps) {
-			hi = len(lps)
-		}
-		w := &e.workers[i]
-		w.eng = e
-		w.engines = lps[lo:hi]
-		w.next = make([]sim.Cycle, len(w.engines))
-		w.has = make([]bool, len(w.engines))
+		lo, hi := i*len(lps)/cfg.Shards, (i+1)*len(lps)/cfg.Shards
+		e.workers[i] = worker{eng: e, engines: lps[lo:hi]}
 	}
-	e.start.init(int32(cfg.Shards + 1)) // workers + driver
+	e.start.init(int32(cfg.Shards)) // the caller is worker 0
 	return e, nil
 }
 
 // Pending returns the total events queued across all LPs. Only meaningful
-// outside Run (the driver owns all queues between epochs).
+// outside Run (the caller owns all queues between epochs).
 func (e *Engine) Pending() int {
 	n := 0
 	for _, lp := range e.lps {
@@ -168,37 +179,43 @@ func (e *Engine) Cycles() sim.Cycle {
 }
 
 // Run executes epochs until every queue drains and merge produces no new
-// work, or the event budget runs out. merge is called on the driver thread
-// at each epoch boundary with all workers parked at the barrier; it must
-// replay the epoch's cross-LP messages into the destination queues (in
-// canonical order — see Drain) and may schedule at any cycle >= the epoch
-// end. Worker goroutines live strictly inside this call: they are spawned
-// on entry and joined before it returns, so a completed Run leaks nothing.
+// work, or the event budget runs out. The calling goroutine is worker 0:
+// it runs the first LP block's share of every epoch itself, and merge is
+// called on it at each epoch boundary with the other workers parked at
+// the barrier; merge must replay the epoch's cross-LP messages into the
+// destination queues (in canonical order — see Drain) and may schedule at
+// any cycle >= the epoch end. The Shards-1 other worker goroutines live
+// strictly inside this call: they are spawned on entry and joined before
+// it returns, so a completed Run leaks nothing.
 func (e *Engine) Run(merge func(epochEnd sim.Cycle)) (uint64, error) {
 	e.stop = false
-	for i := range e.workers {
-		// Workers and driver rendezvous on a sense-reversing barrier twice
-		// per epoch (epoch start, epoch end); between barriers each worker
+	var exited sync.WaitGroup
+	exited.Add(len(e.workers) - 1)
+	for i := 1; i < len(e.workers); i++ {
+		// All workers rendezvous on a sense-reversing barrier twice per
+		// epoch (epoch start, epoch end); between barriers each worker
 		// touches only the LP queues it owns.
 		//stash:parallel conservative PDES workers; joined before Run returns
-		go e.workers[i].loop()
+		go e.workers[i].loop(&exited)
 	}
 	var total uint64
 	err := e.drive(merge, &total)
-	// Park-and-release one last time with stop set so every worker exits
-	// its loop; the final barrier doubles as the join.
+	// Release the parked workers one last time with stop set so each
+	// exits its loop, and wait until they have.
 	e.stop = true
-	e.start.await(&e.driverSense)
+	e.start.await(&e.workers[0].sense)
+	exited.Wait()
 	return total, err
 }
 
-// drive is Run's epoch loop, split out so Run can unconditionally park
+// drive is Run's epoch loop, split out so Run can unconditionally release
 // and join the workers whether drive returns cleanly or on a budget
 // error.
 func (e *Engine) drive(merge func(epochEnd sim.Cycle), total *uint64) error {
 	L := e.cfg.Lookahead
+	w0 := &e.workers[0]
+	minT, any := e.nextEvent()
 	for {
-		minT, any := e.nextEvent()
 		if !any {
 			return nil
 		}
@@ -211,8 +228,9 @@ func (e *Engine) drive(merge func(epochEnd sim.Cycle), total *uint64) error {
 		end := start + L
 		e.epochEnd = end
 
-		e.start.await(&e.driverSense) // release workers into the epoch
-		e.start.await(&e.driverSense) // wait for them to drain it
+		e.start.await(&w0.sense) // release the workers into the epoch
+		w0.runEpoch(end)
+		e.start.await(&w0.sense) // wait for them to drain it
 
 		*total = 0
 		for i := range e.workers {
@@ -225,7 +243,26 @@ func (e *Engine) drive(merge func(epochEnd sim.Cycle), total *uint64) error {
 			e.OnEpoch(start, end)
 		}
 		merge(end)
+		minT, any = e.nextAfter(end)
 	}
+}
+
+// nextAfter returns the earliest pending cycle once the epoch ending at
+// end has been merged, or a stand-in for it in the same window. merge
+// never schedules before end, so when some worker still holds an event in
+// the following window [end, end+L), that window comes next whatever
+// merge scheduled: end itself picks it. The workers' post-epoch minima
+// settle this without the caller touching every LP's queue (half of which
+// another CPU has just written); only when they all lie beyond that
+// window does it fall back to the full scan, which also sees merge's
+// arrivals.
+func (e *Engine) nextAfter(end sim.Cycle) (sim.Cycle, bool) {
+	for i := range e.workers {
+		if w := &e.workers[i]; w.has && w.next < end+e.cfg.Lookahead {
+			return end, true
+		}
+	}
+	return e.nextEvent()
 }
 
 // nextEvent returns the earliest pending cycle across all LPs.
@@ -240,9 +277,10 @@ func (e *Engine) nextEvent() (sim.Cycle, bool) {
 	return min, any
 }
 
-// loop is a worker goroutine's life: epochs bracketed by barriers until
-// the driver raises stop.
-func (w *worker) loop() {
+// loop is a spawned worker's life: epochs bracketed by barriers until the
+// caller raises stop.
+func (w *worker) loop(exited *sync.WaitGroup) {
+	defer exited.Done()
 	for {
 		w.eng.start.await(&w.sense)
 		if w.eng.stop {
@@ -253,33 +291,20 @@ func (w *worker) loop() {
 	}
 }
 
-// runEpoch drains every event strictly before end from the worker's LPs,
-// always stepping the (cycle, rank)-minimal one. The next-event cache is
-// refreshed once on entry — the merge may have scheduled onto any LP — and
-// then maintained incrementally: during an epoch an LP's queue only
-// changes when that LP itself runs.
+// runEpoch runs each of the worker's LPs, in rank order, through every
+// event strictly before end, and records the earliest event left behind.
+// An LP's events within the epoch touch only that LP's state and its own
+// mailbox, so running the LPs one after another is equivalent to
+// interleaving them in (cycle, rank) order — and needs no per-event scan
+// across LPs to pick the next one.
 //
 //stash:hotpath
 func (w *worker) runEpoch(end sim.Cycle) {
-	for i, lp := range w.engines {
-		w.next[i], w.has[i] = lp.NextEventTime()
-	}
-	for {
-		best := -1
-		var bt sim.Cycle
-		for i := range w.engines {
-			// Strict less keeps the earliest rank on cycle ties, matching
-			// the canonical (cycle, LP rank) order.
-			if w.has[i] && w.next[i] < end && (best < 0 || w.next[i] < bt) {
-				best, bt = i, w.next[i]
-			}
+	w.has = false
+	for _, lp := range w.engines {
+		w.steps += lp.RunUntil(end - 1)
+		if t, ok := lp.NextEventTime(); ok && (!w.has || t < w.next) {
+			w.next, w.has = t, true
 		}
-		if best < 0 {
-			return
-		}
-		lp := w.engines[best]
-		lp.Step()
-		w.steps++
-		w.next[best], w.has[best] = lp.NextEventTime()
 	}
 }

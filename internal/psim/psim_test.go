@@ -3,6 +3,7 @@ package psim_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/psim"
@@ -104,36 +105,76 @@ func mergeToy(lps []*toyLP, boxes []*psim.Mailbox[toyMsg], mergeHash *uint64) fu
 	}
 }
 
-// runParallel executes the toy model under psim with the given shard count
-// and returns the per-LP hashes plus the merge-order hash.
-func runParallel(t *testing.T, n, shards int, seed uint64) ([]uint64, uint64, uint64) {
+// toyTrace is everything a toy run can observe: per-LP hashes (every
+// event an LP executed, in order), the merge hash (every cross-LP message,
+// in replay order), the event total, and the grid hash (every epoch
+// window, in order).
+type toyTrace struct {
+	hashes []uint64
+	merge  uint64
+	total  uint64
+	grid   uint64
+}
+
+// diff describes the first difference from want, or returns "".
+func (got toyTrace) diff(want toyTrace) string {
+	switch {
+	case got.total != want.total:
+		return fmt.Sprintf("ran %d events, reference ran %d", got.total, want.total)
+	case got.merge != want.merge:
+		return fmt.Sprintf("merge-order hash %#x, reference %#x", got.merge, want.merge)
+	case got.grid != want.grid:
+		return fmt.Sprintf("epoch-grid hash %#x, reference %#x", got.grid, want.grid)
+	}
+	for i := range got.hashes {
+		if got.hashes[i] != want.hashes[i] {
+			return fmt.Sprintf("LP %d hash %#x, reference %#x", i, got.hashes[i], want.hashes[i])
+		}
+	}
+	return ""
+}
+
+func foldWindow(grid *uint64, start, end sim.Cycle) {
+	*grid = mix(*grid ^ uint64(start)<<32 ^ uint64(end))
+}
+
+func lpHashes(lps []*toyLP) []uint64 {
+	hashes := make([]uint64, len(lps))
+	for i, lp := range lps {
+		hashes[i] = lp.hash
+	}
+	return hashes
+}
+
+// runParallel executes the toy model under psim with the given shard
+// count.
+func runParallel(t *testing.T, n, shards int, seed uint64) toyTrace {
 	t.Helper()
 	lps, engines, boxes := buildToy(n, seed, 400)
 	eng, err := psim.New(psim.Config{Shards: shards, Lookahead: lookahead}, engines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mergeHash uint64
-	total, err := eng.Run(mergeToy(lps, boxes, &mergeHash))
-	if err != nil {
+	var tr toyTrace
+	eng.OnEpoch = func(start, end sim.Cycle) { foldWindow(&tr.grid, start, end) }
+	if tr.total, err = eng.Run(mergeToy(lps, boxes, &tr.merge)); err != nil {
 		t.Fatal(err)
 	}
-	hashes := make([]uint64, n)
-	for i, lp := range lps {
-		hashes[i] = lp.hash
-	}
-	return hashes, mergeHash, total
+	tr.hashes = lpHashes(lps)
+	return tr
 }
 
 // runReference executes the same model and epoch discipline with a direct
 // single-threaded loop — no workers, no barrier — as the oracle for the
-// concurrency machinery.
-func runReference(t *testing.T, n int, seed uint64) ([]uint64, uint64, uint64) {
+// concurrency machinery. Within an epoch it steps the globally
+// (cycle, rank)-minimal event across all LPs, one event at a time: the
+// order psim's schedule, which runs each LP to the epoch end in turn,
+// must be equivalent to.
+func runReference(t *testing.T, n int, seed uint64) toyTrace {
 	t.Helper()
 	lps, engines, boxes := buildToy(n, seed, 400)
-	var mergeHash uint64
-	merge := mergeToy(lps, boxes, &mergeHash)
-	var total uint64
+	var tr toyTrace
+	merge := mergeToy(lps, boxes, &tr.merge)
 	for {
 		minT, any := sim.Cycle(0), false
 		for _, e := range engines {
@@ -158,76 +199,151 @@ func runReference(t *testing.T, n int, seed uint64) ([]uint64, uint64, uint64) {
 				break
 			}
 			engines[best].Step()
-			total++
+			tr.total++
 		}
+		foldWindow(&tr.grid, start, end)
 		merge(end)
 	}
-	hashes := make([]uint64, n)
-	for i, lp := range lps {
-		hashes[i] = lp.hash
-	}
-	return hashes, mergeHash, total
+	tr.hashes = lpHashes(lps)
+	return tr
 }
 
 // TestShardCountInvariance is the core determinism property: every shard
-// count produces the trace the independent serial reference produces.
+// count produces the trace the global-order reference produces. It also
+// proves the commutation claim the engine's schedule rests on: running
+// each LP to the epoch end in turn reaches exactly the state that stepping
+// the globally (cycle, rank)-minimal event does, with the same messages
+// replayed in the same order and the same epoch windows.
 func TestShardCountInvariance(t *testing.T) {
 	leakcheck.Check(t)
-	for _, n := range []int{1, 3, 8} {
+	for _, n := range []int{1, 3, 5, 8, 16} {
 		for seed := uint64(1); seed <= 5; seed++ {
-			wantH, wantM, wantN := runReference(t, n, seed)
-			for _, shards := range []int{1, 2, 4, 8} {
+			want := runReference(t, n, seed)
+			for _, shards := range []int{1, 2, 3, 4, 8, 16} {
 				if shards > n {
 					continue
 				}
-				name := fmt.Sprintf("n%d_seed%d_shards%d", n, seed, shards)
-				gotH, gotM, gotN := runParallel(t, n, shards, seed)
-				if gotN != wantN {
-					t.Fatalf("%s: ran %d events, reference ran %d", name, gotN, wantN)
-				}
-				if gotM != wantM {
-					t.Fatalf("%s: merge-order hash %#x, reference %#x", name, gotM, wantM)
-				}
-				for i := range gotH {
-					if gotH[i] != wantH[i] {
-						t.Fatalf("%s: LP %d hash %#x, reference %#x", name, i, gotH[i], wantH[i])
-					}
+				if d := runParallel(t, n, shards, seed).diff(want); d != "" {
+					t.Fatalf("n%d_seed%d_shards%d: %s", n, seed, shards, d)
 				}
 			}
 		}
 	}
 }
 
-// TestRunTwiceIdentical reruns one configuration and demands identical
-// hashes — determinism without reference to the oracle.
-func TestRunTwiceIdentical(t *testing.T) {
+// TestGoroutineAccounting pins the schedule's goroutine budget: the caller
+// is worker 0, so during Run exactly Shards-1 extra goroutines exist —
+// none at all for Shards=1 — and all of them have exited when Run
+// returns.
+func TestGoroutineAccounting(t *testing.T) {
 	leakcheck.Check(t)
-	aH, aM, aN := runParallel(t, 8, 4, 42)
-	bH, bM, bN := runParallel(t, 8, 4, 42)
-	if aN != bN || aM != bM {
-		t.Fatalf("two runs diverged: events %d vs %d, merge hash %#x vs %#x", aN, bN, aM, bM)
-	}
-	for i := range aH {
-		if aH[i] != bH[i] {
-			t.Fatalf("LP %d diverged across runs", i)
+	const n = 8
+	for _, shards := range []int{1, 2, 3, n} {
+		lps, engines, boxes := buildToy(n, 3, 400)
+		eng, err := psim.New(psim.Config{Shards: shards, Lookahead: lookahead}, engines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mergeHash uint64
+		inner := mergeToy(lps, boxes, &mergeHash)
+		before := runtime.NumGoroutine()
+		merges, off := 0, 0
+		if _, err := eng.Run(func(end sim.Cycle) {
+			if g := runtime.NumGoroutine(); g != before+shards-1 && off == 0 {
+				off = g
+			}
+			merges++
+			inner(end)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if merges == 0 {
+			t.Fatalf("shards=%d: merge never ran", shards)
+		}
+		if off != 0 {
+			t.Errorf("shards=%d: %d goroutines inside merge, want %d (%d before Run + shards-1)", shards, off, before+shards-1, before)
+		}
+		if g := runtime.NumGoroutine(); g != before {
+			t.Errorf("shards=%d: %d goroutines after Run, want %d", shards, g, before)
 		}
 	}
 }
 
-// TestEventLimit exercises the budget path: Run must stop with
-// ErrEventLimit and still join its workers (leakcheck enforces that).
+// TestOversubscribed runs more shards than GOMAXPROCS, the configuration
+// where the barrier's spin-then-yield path carries progress (with
+// GOMAXPROCS=1, the yield-immediately branch), and checks the result
+// against the global-order reference.
+func TestOversubscribed(t *testing.T) {
+	leakcheck.Check(t)
+	n := runtime.GOMAXPROCS(0) + 2
+	if d := runParallel(t, n, n, 9).diff(runReference(t, n, 9)); d != "" {
+		t.Fatalf("shards=%d on GOMAXPROCS=%d: %s", n, runtime.GOMAXPROCS(0), d)
+	}
+}
+
+// TestEpochGridFollowsMergeArrivals pins the window choice after a merge:
+// when every LP's own next event lies beyond the following window, the
+// next window must still be the one holding the earliest arrival the
+// merge just scheduled, and idle stretches must be skipped to the window
+// of the next event.
+func TestEpochGridFollowsMergeArrivals(t *testing.T) {
+	leakcheck.Check(t)
+	for _, shards := range []int{1, 2} {
+		a, b := sim.NewEngine(), sim.NewEngine()
+		box := &psim.Mailbox[int]{}
+		var delivered []sim.Cycle
+		deliver := func() { delivered = append(delivered, a.Now()) }
+		a.At(1, "send", func() { box.Push(1, 0) })
+		b.At(1000, "far", func() {})
+		eng, err := psim.New(psim.Config{Shards: shards, Lookahead: lookahead}, []*sim.Engine{a, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var grid []sim.Cycle
+		eng.OnEpoch = func(start, end sim.Cycle) { grid = append(grid, start) }
+		if _, err := eng.Run(func(end sim.Cycle) {
+			psim.Drain([]*psim.Mailbox[int]{box}, func(int, uint64, int) {
+				a.At(end+2, "deliver", deliver)
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := []sim.Cycle{0, lookahead, 1000 - 1000%lookahead}
+		if fmt.Sprint(grid) != fmt.Sprint(want) {
+			t.Errorf("shards=%d: epoch starts %v, want %v", shards, grid, want)
+		}
+		if len(delivered) != 1 || delivered[0] != lookahead+2 {
+			t.Errorf("shards=%d: delivered at %v, want [%d]", shards, delivered, lookahead+2)
+		}
+	}
+}
+
+// TestRunTwiceIdentical reruns one configuration and demands identical
+// traces — determinism without reference to the oracle.
+func TestRunTwiceIdentical(t *testing.T) {
+	leakcheck.Check(t)
+	if d := runParallel(t, 8, 4, 42).diff(runParallel(t, 8, 4, 42)); d != "" {
+		t.Fatalf("two runs diverged: %s", d)
+	}
+}
+
+// TestEventLimit exercises the budget path at every schedule shape: Run
+// must stop with ErrEventLimit and still join the workers it spawned
+// (leakcheck enforces that).
 func TestEventLimit(t *testing.T) {
 	leakcheck.Check(t)
-	_, engines, boxes := buildToy(8, 7, 400)
-	eng, err := psim.New(psim.Config{Shards: 4, Lookahead: lookahead, MaxEvents: 50}, engines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = eng.Run(func(end sim.Cycle) {
-		psim.Drain(boxes, func(int, uint64, toyMsg) {})
-	})
-	if !errors.Is(err, psim.ErrEventLimit) {
-		t.Fatalf("want ErrEventLimit, got %v", err)
+	for _, shards := range []int{1, 2, 3, 8} {
+		_, engines, boxes := buildToy(8, 7, 400)
+		eng, err := psim.New(psim.Config{Shards: shards, Lookahead: lookahead, MaxEvents: 50}, engines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.Run(func(end sim.Cycle) {
+			psim.Drain(boxes, func(int, uint64, toyMsg) {})
+		})
+		if !errors.Is(err, psim.ErrEventLimit) {
+			t.Fatalf("shards=%d: want ErrEventLimit, got %v", shards, err)
+		}
 	}
 }
 

@@ -636,7 +636,8 @@ func (r *Runner) newJobLocked(key string, cfg system.Config, state State) *Job {
 // completeFromCacheLocked creates a job that is already done. The job gets
 // a deep copy of the cached result: the cache retains sole ownership of
 // its entry, so a caller mutating what it was handed cannot corrupt every
-// future hit on the same key.
+// future hit on the same key. Its done channel stays open until
+// emitCached has delivered the job's events.
 //
 //stash:locked mu
 func (r *Runner) completeFromCacheLocked(key string, cfg system.Config, res *system.Results, hit string) *Job {
@@ -646,7 +647,6 @@ func (r *Runner) completeFromCacheLocked(key string, cfg system.Config, res *sys
 	j.result = res.Clone()
 	j.finishedAt = j.enqueuedAt
 	j.mu.Unlock()
-	close(j.done)
 	r.met.queued.Add(1)
 	r.met.completed.Add(1)
 	switch hit {
@@ -661,15 +661,18 @@ func (r *Runner) completeFromCacheLocked(key string, cfg system.Config, res *sys
 	return j
 }
 
-// emitCached announces a cache-completed job. It runs after r.mu is
-// released, so the job is visible to concurrent Status readers; snapshot
-// the guarded fields under j.mu instead of reading them bare.
+// emitCached announces a cache-completed job, then releases its waiters,
+// so a returned Wait implies the finished event was delivered (as finish
+// does for simulated jobs). It runs after r.mu is released, so the job is
+// visible to concurrent Status readers; snapshot the guarded fields under
+// j.mu instead of reading them bare.
 func (r *Runner) emitCached(j *Job) {
 	j.mu.Lock()
 	hit, res := j.cacheHit, j.result
 	j.mu.Unlock()
 	r.emit(Event{Kind: EventQueued, JobID: j.id, Key: j.key, Config: j.cfg, CacheHit: hit})
 	r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, CacheHit: hit, Result: res})
+	close(j.done)
 }
 
 // retainLocked records a finished job and evicts the oldest beyond the
@@ -788,8 +791,9 @@ func (r *Runner) runOnce(j *Job) (*system.Results, error) {
 	}
 }
 
-// finish records the job's outcome, publishes it to waiters, and emits the
-// terminal event.
+// finish records the job's outcome, emits the terminal event, and only
+// then publishes the outcome to waiters: a Wait that returns has the
+// job's terminal event already delivered (see Event).
 func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duration) {
 	j.mu.Lock()
 	j.finishedAt = time.Now()
@@ -802,10 +806,6 @@ func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duratio
 	}
 	attempt := j.attempts
 	j.mu.Unlock()
-	close(j.done)
-	if j.cancel != nil {
-		j.cancel() // release the exec context and its waiter monitors
-	}
 
 	r.mu.Lock()
 	if r.inflight[j.key] == j {
@@ -820,5 +820,9 @@ func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duratio
 	} else {
 		r.met.completed.Add(1)
 		r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Result: res})
+	}
+	close(j.done)
+	if j.cancel != nil {
+		j.cancel() // release the exec context and its waiter monitors
 	}
 }

@@ -342,9 +342,9 @@ func (q *EventQueue) nextTime() (Cycle, bool) {
 }
 
 // NextEventTime returns the cycle of the earliest pending event, or false
-// when the queue is empty. The parallel engine's workers use it to pick,
-// among the queues they own, which one to step next — and the conservative
-// epoch driver uses the global minimum to skip idle epochs.
+// when the queue is empty. The parallel engine's workers use it to report
+// the earliest event their queues hold after an epoch, and the global
+// minimum lets the engine skip idle epochs.
 //
 //stash:hotpath
 func (q *EventQueue) NextEventTime() (Cycle, bool) {

@@ -70,8 +70,9 @@ func (e *Engine) Halt() { e.halted = true }
 
 // Step pops the earliest pending event, advances the clock to it, and
 // fires it. Precondition: at least one event is pending (Pending() > 0).
-// It is the single-event granule the parallel engine's workers interleave
-// across the queues they own; Run is equivalent to Step in a loop.
+// Run is equivalent to Step in a loop; psim's tests use Step to interleave
+// several queues one event at a time as the reference for the parallel
+// engine's schedule.
 //
 //stash:hotpath
 func (e *Engine) Step() {
@@ -108,7 +109,9 @@ func (e *Engine) Run(limit uint64) uint64 {
 
 // RunUntil executes events with timestamps up to and including cycle end.
 // Events scheduled beyond end remain queued; the clock is left at the
-// timestamp of the last event executed (not advanced to end).
+// timestamp of the last event executed (not advanced to end). The
+// parallel engine's workers run each queue they own to the epoch end
+// with it.
 //
 //stash:hotpath
 func (e *Engine) RunUntil(end Cycle) uint64 {

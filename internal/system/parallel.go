@@ -61,10 +61,10 @@ func runParallel(cfg Config) (*Results, error) {
 // epochSampler adapts the occupancy sampler to the parallel engine's epoch
 // grid: the serial path samples at exact multiples of the period via
 // events; here we sample at the first epoch boundary at or past each
-// multiple. The hook runs on the driver thread while the workers are
-// parked at the barrier, so walking the directories is race-free; the
-// epoch grid is shard-count-invariant, so so are the samples. Sampling
-// stops — matching the serial sampler — once every processor finished.
+// multiple. The hook runs on the goroutine that called Drive while the
+// other workers are parked at the barrier, so walking the directories is
+// race-free; the epoch grid is shard-count-invariant, so so are the
+// samples. Sampling stops — matching the serial sampler — once every processor finished.
 func epochSampler(s *occupancySampler, fab *coherence.Fabric, procs []*coherence.Processor, period sim.Cycle) func(start, end sim.Cycle) {
 	next := period
 	return func(start, end sim.Cycle) {
