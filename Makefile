@@ -101,8 +101,32 @@ race-fleet:
 bench: bench-engine bench-protocol
 	$(GO) test -bench=. -benchmem
 
+# bench_gate runs benchmarks and feeds their output to benchjson, with
+# separate failures for each step: $(1) names the target, $(2) is the
+# `go test` arguments, $(3) the benchjson arguments, $(4) the message for
+# a benchjson (allocation gate) failure. go test's output goes to a temp
+# file first rather than down a pipe, so its own exit status still fails
+# the target: benchjson skips FAIL lines, and a benchmark that panics or
+# calls b.Fatal after another one has printed its result would otherwise
+# pass.
+define bench_gate
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	{ $(GO) test -run '^$$' $(2) > "$$out" 2>&1 || \
+		{ cat "$$out"; echo "$(1): benchmarks failed (go test exited non-zero)" >&2; exit 1; }; } && \
+	{ $(GO) run ./cmd/benchjson $(3) < "$$out" || \
+		{ echo "$(1): $(4)" >&2; exit 1; }; }
+endef
+
+# bench-engine records the scheduler benchmarks into BENCH_engine.json and
+# fails if a steady-state scheduling path allocates: after warm-up the
+# engine is a zero-allocs/event contract. The gate covers the four
+# per-event benchmarks only (ENGINE_ZERO_ALLOC), since the container/heap
+# legacy twins and the end-to-end throughput run allocate by design.
+ENGINE_ZERO_ALLOC = '^BenchmarkEngine(After1|After0Burst|Mixed|FarFuture)(-[0-9]+)?$$'
+HOTPATH_HINT = run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions
+
 bench-engine:
-	$(GO) test -run '^$$' -bench BenchmarkEngine -benchmem ./internal/sim | $(GO) run ./cmd/benchjson -o BENCH_engine.json
+	$(call bench_gate,bench-engine,-bench BenchmarkEngine -benchmem ./internal/sim,-o BENCH_engine.json -max-allocs 0 -max-allocs-filter $(ENGINE_ZERO_ALLOC),event scheduler allocates per event; $(HOTPATH_HINT))
 
 # bench-protocol records the coherence hot-path benchmarks into
 # BENCH_protocol.json and fails if any steady-state protocol path
@@ -111,8 +135,7 @@ bench-engine:
 # picture: `make lint` — the hotpath analyzer usually names the exact
 # allocation site that broke the contract.
 bench-protocol:
-	@$(GO) test -run '^$$' -bench BenchmarkProtocol -benchmem ./internal/coherence | $(GO) run ./cmd/benchjson -o BENCH_protocol.json -max-allocs 0 || \
-		{ echo "bench-protocol: allocation contract broken; run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions" >&2; exit 1; }
+	$(call bench_gate,bench-protocol,-bench BenchmarkProtocol -benchmem ./internal/coherence,-o BENCH_protocol.json -max-allocs 0,allocation contract broken; $(HOTPATH_HINT))
 
 # bench-psim records the serial-vs-parallel engine sweep (16-core model,
 # shards 0/2/4/8) into BENCH_psim.json. The events/sec ratio between the
@@ -120,7 +143,7 @@ bench-protocol:
 # parallelism (GOMAXPROCS > 1) to exceed 1, and the benchmark names embed
 # the host core count so recorded sweeps compare like with like.
 bench-psim:
-	$(GO) test -run '^$$' -bench BenchmarkPsim -benchmem ./internal/system | $(GO) run ./cmd/benchjson -o BENCH_psim.json
+	$(call bench_gate,bench-psim,-bench BenchmarkPsim -benchmem ./internal/system,-o BENCH_psim.json,could not record BENCH_psim.json)
 
 # bench-trace records the trace-pipeline benchmarks into BENCH_trace.json:
 # the text-vs-binary replay comparison (internal/trace, 1M-access streams)
@@ -129,17 +152,16 @@ bench-psim:
 # binary hot path's contract — since the text baseline and the
 # full-system scaling runs allocate by design.
 bench-trace:
-	@$(GO) test -run '^$$' -bench BenchmarkTrace -benchmem ./internal/trace ./internal/system | $(GO) run ./cmd/benchjson -o BENCH_trace.json -max-allocs 0 -max-allocs-filter 'ReplayBinary' || \
-		{ echo "bench-trace: binary replay hot path allocates; run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions" >&2; exit 1; }
+	$(call bench_gate,bench-trace,-bench BenchmarkTrace -benchmem ./internal/trace ./internal/system,-o BENCH_trace.json -max-allocs 0 -max-allocs-filter 'ReplayBinary',binary replay hot path allocates; $(HOTPATH_HINT))
 
 # bench-smoke executes every engine benchmark exactly once so ci catches
-# benchmark bit-rot without paying full measurement time.
+# benchmark bit-rot without paying full measurement time, and holds the
+# per-event benchmarks to bench-engine's zero-alloc gate.
 bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkEngine -benchtime=1x -benchmem ./internal/sim
+	$(call bench_gate,bench-smoke,-bench BenchmarkEngine -benchtime=1x -benchmem ./internal/sim,-o /dev/null -max-allocs 0 -max-allocs-filter $(ENGINE_ZERO_ALLOC),event scheduler allocates per event; $(HOTPATH_HINT))
 
 bench-psim-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkPsim -benchtime=1x -benchmem ./internal/system
 
 bench-trace-smoke:
-	@$(GO) test -run '^$$' -bench BenchmarkTrace -benchtime=1x -benchmem ./internal/trace ./internal/system | $(GO) run ./cmd/benchjson -max-allocs 0 -max-allocs-filter 'ReplayBinary' > /dev/null || \
-		{ echo "bench-trace-smoke: binary replay hot path allocates; run 'make lint'" >&2; exit 1; }
+	$(call bench_gate,bench-trace-smoke,-bench BenchmarkTrace -benchtime=1x -benchmem ./internal/trace ./internal/system,-o /dev/null -max-allocs 0 -max-allocs-filter 'ReplayBinary',binary replay hot path allocates; $(HOTPATH_HINT))

@@ -275,7 +275,13 @@ func (pf *ParallelFabric) Drive(procs []*Processor, maxEvents uint64) error {
 	eng.OnEpoch = pf.EpochHook
 	if _, err := eng.Run(pf.merge); err != nil {
 		if errors.Is(err, psim.ErrEventLimit) {
-			return fmt.Errorf("coherence: event limit %d reached with %d events pending", maxEvents, eng.Pending())
+			// Run stops before the epoch's merge, so the epoch's cross-tile
+			// sends are still parked in the mailboxes, outside every queue.
+			pending := eng.Pending()
+			for _, b := range pf.boxes {
+				pending += b.Len()
+			}
+			return fmt.Errorf("coherence: event limit %d reached with %d events pending", maxEvents, pending)
 		}
 		return err
 	}

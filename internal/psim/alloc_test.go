@@ -75,9 +75,9 @@ func (lp *leanLP) tick(any) {
 // TestEpochLoopAllocsConstant bounds the whole parallel run path — barrier
 // crossings, worker epoch loops, merge replay — to allocations independent
 // of event count: a run executing ~19x the events may allocate only a
-// fixed setup-and-warmup amount more (engine arenas, rings and goroutine
-// stacks all reach steady state). If the per-event path allocated even
-// once per event, the delta would be tens of thousands.
+// fixed setup-and-warmup amount more (engine arenas, mailbox rings and
+// goroutine stacks all reach steady state). If the per-event path
+// allocated even once per event, the delta would be tens of thousands.
 func TestEpochLoopAllocsConstant(t *testing.T) {
 	leakcheck.Check(t)
 	run := func(limit int) (events uint64) {
@@ -115,9 +115,9 @@ func TestEpochLoopAllocsConstant(t *testing.T) {
 		t.Fatalf("scaling assumption broken: %d vs %d events", nSmall, nBig)
 	}
 	// The marginal allocation rate must be warm-up noise only: the small
-	// run has already populated most wheel buckets and pool rings, so the
+	// run has already grown the engine arenas and mailbox rings, so the
 	// extra ~9x events may add at most a residual trickle of one-time
-	// ring growth. A single allocation per event would read as 1.0 here.
+	// growth. A single allocation per event would read as 1.0 here.
 	rate := (big - small) / float64(nBig-nSmall)
 	t.Logf("allocs: %.0f for %d events, %.0f for %d events (marginal %.4f/event)", small, nSmall, big, nBig, rate)
 	if rate > 0.02 {

@@ -56,7 +56,7 @@ func (m *Mailbox[T]) grow() {
 }
 
 // pop removes the oldest entry; precondition n > 0. The slot is left
-// stale, exactly like sim's event rings: it is overwritten on reuse.
+// stale, like a released sim event slot: it is overwritten on reuse.
 //
 //stash:hotpath
 func (m *Mailbox[T]) pop() entry[T] {

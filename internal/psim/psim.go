@@ -118,6 +118,11 @@ type worker struct {
 	steps   uint64
 	next    sim.Cycle
 	has     bool
+	// left counts the times a spawned worker has left its loop. It is
+	// written just before the worker's WaitGroup Done, so once Run has
+	// joined the workers every one of them shows here (the tests read it
+	// to pin that join).
+	left uint64
 }
 
 // New builds a parallel engine over the given LP queues. LP rank is the
@@ -284,6 +289,7 @@ func (w *worker) loop(exited *sync.WaitGroup) {
 	for {
 		w.eng.start.await(&w.sense)
 		if w.eng.stop {
+			w.left++
 			return
 		}
 		w.runEpoch(w.eng.epochEnd)

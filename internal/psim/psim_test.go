@@ -233,8 +233,10 @@ func TestShardCountInvariance(t *testing.T) {
 
 // TestGoroutineAccounting pins the schedule's goroutine budget: the caller
 // is worker 0, so during Run exactly Shards-1 extra goroutines exist —
-// none at all for Shards=1 — and all of them have exited when Run
-// returns.
+// none at all for Shards=1 — and Run joins all of them before it returns:
+// each spawned worker has left its loop by then. (A worker's goroutine
+// may still be finishing its return for a moment after the join, so the
+// goroutine count itself is left to leakcheck's grace period.)
 func TestGoroutineAccounting(t *testing.T) {
 	leakcheck.Check(t)
 	const n = 8
@@ -248,13 +250,15 @@ func TestGoroutineAccounting(t *testing.T) {
 		inner := mergeToy(lps, boxes, &mergeHash)
 		before := runtime.NumGoroutine()
 		merges, off := 0, 0
-		if _, err := eng.Run(func(end sim.Cycle) {
+		_, err = eng.Run(func(end sim.Cycle) {
 			if g := runtime.NumGoroutine(); g != before+shards-1 && off == 0 {
 				off = g
 			}
 			merges++
 			inner(end)
-		}); err != nil {
+		})
+		left := psim.WorkersLeft(eng)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if merges == 0 {
@@ -263,8 +267,8 @@ func TestGoroutineAccounting(t *testing.T) {
 		if off != 0 {
 			t.Errorf("shards=%d: %d goroutines inside merge, want %d (%d before Run + shards-1)", shards, off, before+shards-1, before)
 		}
-		if g := runtime.NumGoroutine(); g != before {
-			t.Errorf("shards=%d: %d goroutines after Run, want %d", shards, g, before)
+		if left != uint64(shards-1) {
+			t.Errorf("shards=%d: %d workers had left their loops when Run returned, want all %d", shards, left, shards-1)
 		}
 	}
 }
@@ -343,6 +347,39 @@ func TestEventLimit(t *testing.T) {
 		})
 		if !errors.Is(err, psim.ErrEventLimit) {
 			t.Fatalf("shards=%d: want ErrEventLimit, got %v", shards, err)
+		}
+	}
+}
+
+// TestEventLimitCountsParkedMessages stops a run on its budget while a
+// cross-LP message is still parked in a mailbox: Run returns before the
+// epoch's merge, so the pending figure is the LP queues plus the parked
+// entries, and the merge that never ran must turn exactly those entries
+// into queued events.
+func TestEventLimitCountsParkedMessages(t *testing.T) {
+	leakcheck.Check(t)
+	for _, shards := range []int{1, 2} {
+		a, b := sim.NewEngine(), sim.NewEngine()
+		boxes := []*psim.Mailbox[int]{{}, {}}
+		a.At(1, "send", func() { boxes[0].Push(1, 0) })
+		b.At(1000, "far", func() {})
+		eng, err := psim.New(psim.Config{Shards: shards, Lookahead: lookahead, MaxEvents: 1}, []*sim.Engine{a, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merge := func(end sim.Cycle) {
+			psim.Drain(boxes, func(int, uint64, int) { b.At(end, "deliver", func() {}) })
+		}
+		if _, err := eng.Run(merge); !errors.Is(err, psim.ErrEventLimit) {
+			t.Fatalf("shards=%d: want ErrEventLimit, got %v", shards, err)
+		}
+		queued, parked := eng.Pending(), boxes[0].Len()+boxes[1].Len()
+		if queued != 1 || parked != 1 {
+			t.Fatalf("shards=%d: %d queued + %d parked after the budget stop, want 1 + 1", shards, queued, parked)
+		}
+		merge(lookahead)
+		if got := eng.Pending(); got != queued+parked || boxes[0].Len() != 0 {
+			t.Errorf("shards=%d: %d pending after the merge, want %d", shards, got, queued+parked)
 		}
 	}
 }

@@ -110,12 +110,19 @@ func TestRunUntilTimeBackwardsGuard(t *testing.T) {
 	e.At(10, "a", func() {})
 	e.RunUntil(20)
 	// Corrupt the clock the only way external code could observe it: an
-	// already-queued heap entry behind the clock.
-	e.arena = append(e.arena, eventSlot{run: func() {}})
-	e.heap = append(e.heap, heapEntry{at: 3, tie: 1, slot: int32(len(e.arena) - 1)})
+	// already-queued heap entry behind the clock. It goes through the
+	// shared arena like any scheduled event, reusing the slot "a" freed.
+	ran := false
+	e.heapPush(3, 1, eventSlot{run: func() { ran = true }})
+	if e.heap[0].slot != 0 || len(e.arena) != 1 {
+		t.Fatalf("stale entry took slot %d of %d; arena free list not recycling", e.heap[0].slot, len(e.arena))
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RunUntil executed an event behind the clock without panicking")
+		}
+		if ran {
+			t.Fatal("the event behind the clock ran before the guard fired")
 		}
 	}()
 	e.RunUntil(100)

@@ -6,15 +6,21 @@ import (
 )
 
 // eventSlot is an event's payload, stored out-of-line from the heap keys
-// (and inline in the rings, which are never sifted). An event is either a
+// and the wheel buckets in one free-listed arena. An event is either a
 // plain closure (run) or an arg-passing pair (argFn, arg) scheduled through
 // AtArg/AfterArg; the latter lets callers reuse one long-lived func value
-// and avoid allocating a fresh closure per event.
+// and avoid allocating a fresh closure per event. Slots live only in
+// their queue's arena, so they are owned by the queue's tile.
+//
+//stash:tileowned
 type eventSlot struct {
 	run   Event
 	argFn func(any)
 	arg   any
 	name  string // optional, for tracing
+	// next links the slot into a list as arena index + 1 (0 ends it): the
+	// wheel bucket it waits in while pending, the free list once released.
+	next int32
 }
 
 // fire executes whichever form of callback the slot carries.
@@ -40,51 +46,6 @@ func (a heapEntry) less(b heapEntry) bool {
 	return a.at < b.at || (a.at == b.at && a.tie < b.tie)
 }
 
-// ring is a growable power-of-two circular FIFO of events all due at one
-// cycle. Storage is reused across cycles, so steady-state pushes do not
-// allocate.
-//
-//stash:tileowned
-type ring struct {
-	buf  []eventSlot
-	head int
-	n    int
-}
-
-//stash:hotpath
-func (r *ring) push(s eventSlot) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = s
-	r.n++
-}
-
-//stash:hotpath
-func (r *ring) pop() eventSlot {
-	// The popped slot is left stale rather than cleared: clearing a
-	// pointer-bearing struct costs a write barrier per event, and the slot
-	// is overwritten on reuse anyway, so at most one buffer's worth of dead
-	// callbacks is retained.
-	s := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return s
-}
-
-func (r *ring) grow() {
-	newCap := 2 * len(r.buf)
-	if newCap == 0 {
-		newCap = 16
-	}
-	buf := make([]eventSlot, newCap)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = buf
-	r.head = 0
-}
-
 // Timing-wheel geometry: one FIFO bucket per cycle for the next wheelSize
 // cycles. Must be a power of two, and large enough to cover the protocol's
 // fixed latencies (memory reads at 160 cycles are the longest) so that the
@@ -94,6 +55,11 @@ const (
 	wheelMask  = wheelSize - 1
 	wheelWords = wheelSize / 64
 )
+
+// arenaSeed is the arena's initial capacity, so one allocation brings a
+// queue up. A psim tile queue of the 16-core model never outgrows it; the
+// 64-core serial model's peak pending count takes it to 256 slots.
+const arenaSeed = 64
 
 // EventQueue is the scheduling core an Engine is built on: a per-shard
 // clock plus the wheel-and-heap priority queue. It was extracted from
@@ -108,44 +74,72 @@ const (
 // (cycle, tile, sequence) that is independent of how tiles are grouped
 // into worker shards.
 //
+// The zero value is an empty queue at cycle 0.
+//
 //stash:tileowned
 type EventQueue struct {
 	now     Cycle
 	seq     uint64
 	shuffle uint64
 
-	// 4-ary min-heap of far-future events; payloads live in arena, with
-	// recycled slots threaded through free.
-	heap  []heapEntry
+	// arena holds every pending event's payload, for the heap and the
+	// wheel alike. Released slots form a LIFO list threaded through their
+	// next links from free (arena index + 1, 0 when empty), so storage
+	// grows with the peak number of pending events and nothing else.
 	arena []eventSlot
-	free  []int32
+	free  int32
+
+	// 4-ary min-heap of far-future events, keyed by (at, tie).
+	heap []heapEntry
 
 	// Timing wheel of near-future events (FIFO ties only): bucket
-	// wheel[t & wheelMask] holds the events due at cycle t for
-	// t - now < wheelSize. wheelOcc is the per-bucket occupancy bitmap.
-	wheel      [wheelSize]ring
+	// t & wheelMask holds the events due at cycle t for t - now <
+	// wheelSize, as a FIFO list through the arena from head to tail (arena
+	// index + 1; 0 is an empty bucket). wheelOcc is the per-bucket
+	// occupancy bitmap.
+	head, tail [wheelSize]int32
 	wheelOcc   [wheelWords]uint64
 	wheelCount int
-
-	// slab seeds ring buffers: one allocation covers every bucket's
-	// initial buffer, so bringing a wheel up costs 1 allocation instead of
-	// wheelSize. This matters most to the parallel engine, which builds
-	// one EventQueue per tile per run.
-	slab []eventSlot
 }
 
-// ringSeed is the initial per-bucket ring capacity carved from the slab.
-// Must be a power of two (ring indexing masks by capacity).
-const ringSeed = 8
-
-// seedRing hands out one initial ring buffer from the queue's slab.
-func (q *EventQueue) seedRing() []eventSlot {
-	if len(q.slab) < ringSeed {
-		q.slab = make([]eventSlot, wheelSize*ringSeed)
+// alloc stores s in a free arena slot and returns its index. s.next must
+// be 0: a new slot ends whatever list it joins.
+//
+//stash:hotpath
+func (q *EventQueue) alloc(s eventSlot) int32 {
+	if f := q.free; f != 0 {
+		q.free = q.arena[f-1].next
+		q.arena[f-1] = s
+		return f - 1
 	}
-	buf := q.slab[:ringSeed:ringSeed]
-	q.slab = q.slab[ringSeed:]
-	return buf
+	if len(q.arena) == cap(q.arena) {
+		q.growArena()
+	}
+	q.arena = append(q.arena, s)
+	return int32(len(q.arena) - 1)
+}
+
+// growArena doubles the arena's capacity (arenaSeed on first use). It is
+// explicit rather than left to append, whose size-class rounding would
+// let the capacity drift above twice the peak pending count.
+func (q *EventQueue) growArena() {
+	arena := make([]eventSlot, len(q.arena), max(arenaSeed, 2*cap(q.arena)))
+	copy(arena, q.arena)
+	q.arena = arena
+}
+
+// release copies out slot i's payload and pushes the slot onto the free
+// list. The slot's callback is left stale rather than cleared: clearing a
+// pointer-bearing struct costs write barriers per event, and the slot is
+// overwritten on reuse anyway, so at most the arena's capacity of dead
+// callbacks is retained.
+//
+//stash:hotpath
+func (q *EventQueue) release(i int32) eventSlot {
+	s := q.arena[i]
+	q.arena[i].next = q.free
+	q.free = i + 1
+	return s
 }
 
 // SetShuffleSeed switches same-cycle tie-breaking from FIFO to a
@@ -223,13 +217,15 @@ func (q *EventQueue) schedule(at Cycle, s eventSlot) {
 		return
 	}
 	if at-q.now < wheelSize {
+		i := q.alloc(s) + 1
 		b := int(at) & wheelMask
-		r := &q.wheel[b]
-		if r.buf == nil {
-			r.buf = q.seedRing()
+		if t := q.tail[b]; t != 0 {
+			q.arena[t-1].next = i
+		} else {
+			q.head[b] = i
+			q.wheelOcc[b>>6] |= 1 << (b & 63)
 		}
-		r.push(s)
-		q.wheelOcc[b>>6] |= 1 << (b & 63)
+		q.tail[b] = i
 		q.wheelCount++
 		return
 	}
@@ -238,15 +234,7 @@ func (q *EventQueue) schedule(at Cycle, s eventSlot) {
 
 //stash:hotpath
 func (q *EventQueue) heapPush(at Cycle, tie uint64, s eventSlot) {
-	var idx int32
-	if n := len(q.free); n > 0 {
-		idx = q.free[n-1]
-		q.free = q.free[:n-1]
-		q.arena[idx] = s
-	} else {
-		idx = int32(len(q.arena))
-		q.arena = append(q.arena, s)
-	}
+	idx := q.alloc(s)
 	// Sift up.
 	i := len(q.heap)
 	q.heap = append(q.heap, heapEntry{})
@@ -297,10 +285,7 @@ func (q *EventQueue) heapPop() eventSlot {
 		}
 		q.heap[i] = last
 	}
-	s := q.arena[top.slot]
-	q.arena[top.slot] = eventSlot{} // release the closure for GC
-	q.free = append(q.free, top.slot)
-	return s
+	return q.release(top.slot)
 }
 
 // nextWheel returns the cycle of the earliest wheel event; it must only be
@@ -365,13 +350,15 @@ func (q *EventQueue) popNext() eventSlot {
 			return q.heapPop()
 		}
 		b := int(q.now) & wheelMask
-		if r := &q.wheel[b]; r.n > 0 {
-			s := r.pop()
-			q.wheelCount--
-			if r.n == 0 {
+		if h := q.head[b]; h != 0 {
+			next := q.arena[h-1].next
+			q.head[b] = next
+			if next == 0 {
+				q.tail[b] = 0
 				q.wheelOcc[b>>6] &^= 1 << (b & 63)
 			}
-			return s
+			q.wheelCount--
+			return q.release(h - 1)
 		}
 		// Nothing left at the current cycle: advance the clock.
 		t, _ := q.nextTime()

@@ -14,16 +14,20 @@
 //
 //   - Events due within the next wheelSize (256) cycles — every protocol
 //     latency and virtually every NoC arrival — go to a timing wheel of
-//     per-cycle FIFO ring buffers and never touch the heap. A 4-word
-//     occupancy bitmap finds the next non-empty bucket with a couple of
+//     per-cycle FIFO lists and never touch the heap. A 4-word occupancy
+//     bitmap finds the next non-empty bucket with a couple of
 //     trailing-zero counts.
 //   - Everything else goes to a flat 4-ary min-heap of 24-byte inline keys
-//     (cycle, tie, slot index); the callback payloads live out-of-line in a
-//     free-listed arena so sift operations move small values and nothing is
-//     boxed through an interface.
+//     (cycle, tie, slot index), so sift operations move small values and
+//     nothing is boxed through an interface.
+//   - Both keep the callback payloads in one arena: a wheel bucket is a
+//     list threaded through the slots' next links, a heap key carries a
+//     slot index, and released slots go on one free list. The arena grows
+//     with the peak number of pending events (a few hundred in the 64-core
+//     model), not with the wheel's size.
 //
-// Both structures recycle their storage, so after warm-up the engine
-// performs zero allocations per event. The total execution order is
+// The arena recycles its slots, so after warm-up the engine performs zero
+// allocations per event. The total execution order is
 // bit-identical to the original container/heap implementation (the
 // property tests in legacy_test.go replay randomized schedules through
 // both): with FIFO tie-breaking, an event lands in the wheel only once
