@@ -89,12 +89,18 @@ race-psim:
 	$(GO) test -race -count=1 ./internal/psim ./internal/system
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/psim
 
-# race-fleet runs the service tier — coordinator, worker HTTP layer, and
-# runner — under the race detector with caching disabled, so the fleet's
-# cross-process coordination paths (dedup, failover, shedding, streaming)
-# are re-raced even when the full-suite run hits its test cache.
+# race-fleet runs the service tier — coordinator, worker HTTP layer, runner
+# and their shared single-flight primitive — under the race detector with
+# caching disabled, so the fleet's cross-process coordination paths (dedup,
+# failover, shedding, streaming) are re-raced even when the full-suite run
+# hits its test cache. The second pass repeats flight.Call's tests and the
+# runner's coalescing, disk-probe, waiter and dead-job tests 20 times: the
+# join/leave/finish interleavings are where the service tier's races have
+# lived, and a flake there is a bug.
 race-fleet:
-	$(GO) test -race -count=1 ./internal/fleet ./internal/stashd ./internal/runner
+	$(GO) test -race -count=1 ./internal/fleet ./internal/stashd ./internal/runner ./internal/flight
+	$(GO) test -race -count=20 ./internal/flight
+	$(GO) test -race -count=20 -run 'Coalesc|Probe|Waiter|Dead' ./internal/runner
 
 # bench records the engine scheduler benchmarks into BENCH_engine.json
 # (the repo's perf trajectory), then runs the figure/table suite.

@@ -42,6 +42,7 @@ var scopePackages = []string{
 	"internal/runner",
 	"internal/stashd",
 	"internal/fleet",
+	"internal/flight",
 }
 
 // Analyzer is the mixed-atomic-access check.

@@ -42,6 +42,7 @@ var servicePackages = []string{
 	"internal/runner",
 	"internal/stashd",
 	"internal/fleet",
+	"internal/flight",
 }
 
 // Analyzer is the goroutine-send leak check.

@@ -1,7 +1,8 @@
 // Package ctxcheck implements the stashvet analyzer for context propagation
 // and cancellability in the concurrent service layer (internal/runner,
-// internal/stashd). The service layer talks to clients that disconnect and
-// servers that drain, so nothing in it may block unconditionally:
+// internal/stashd, internal/fleet and internal/flight). The service layer
+// talks to clients that disconnect and servers that drain, so nothing in it
+// may block unconditionally:
 //
 //   - every blocking operation — channel send, channel receive, range over a
 //     channel, a select, sync.WaitGroup.Wait, sync.Cond.Wait — must either be
@@ -11,7 +12,7 @@
 //   - context.Context, when a function takes one, must be the first
 //     parameter;
 //   - context.Context must not be stored in a struct field; a deliberate
-//     exception (the runner's job execution context) carries a
+//     exception (flight.Call's shared execution context) carries a
 //     //stash:ignore ctxcheck <reason>.
 //
 // Statements inside `go func() { ... }` bodies are out of scope here: a
@@ -35,6 +36,7 @@ var servicePackages = []string{
 	"internal/runner",
 	"internal/stashd",
 	"internal/fleet",
+	"internal/flight",
 }
 
 // Analyzer is the context-propagation check.

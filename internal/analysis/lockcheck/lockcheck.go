@@ -688,7 +688,9 @@ func (fa *fnAnalyzer) checkGuarded(sel *ast.SelectorExpr, e lockEnv) {
 	if !ok || !v.IsField() {
 		return
 	}
-	g, ok := fa.f.guarded[v]
+	// A field reached through an instantiated generic type is its own
+	// object; the directive was recorded on the generic declaration's.
+	g, ok := fa.f.guarded[v.Origin()]
 	if !ok {
 		return
 	}
@@ -809,7 +811,7 @@ func (fa *fnAnalyzer) qualOf(x ast.Expr) string {
 	if sel, ok := x.(*ast.SelectorExpr); ok {
 		if v, ok := fa.pass.TypesInfo.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
 			if tn := namedName(fa.typeOf(sel.X)); tn != "" {
-				return tn + "." + v.Name()
+				return tn + "." + v.Origin().Name()
 			}
 		}
 	}

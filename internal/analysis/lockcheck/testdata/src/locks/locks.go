@@ -138,3 +138,31 @@ func bumpHits() {
 	cacheStats.hits++
 	cacheStats.Unlock()
 }
+
+// Box is a generic guarded container. Its guarded field stays guarded when
+// it is reached through an instantiation, not only inside generic methods.
+type Box[V any] struct {
+	mu sync.Mutex
+	//stash:guardedby mu
+	v V
+}
+
+func (b *Box[V]) get() V {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.v
+}
+
+func (b *Box[V]) peek() V {
+	return b.v // want `v is guarded by mu`
+}
+
+func readBox(b *Box[string]) string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.v
+}
+
+func readBoxUnlocked(b *Box[string]) string {
+	return b.v // want `v is guarded by mu`
+}

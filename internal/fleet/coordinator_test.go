@@ -255,8 +255,8 @@ func TestFleetRunDedupesInFlight(t *testing.T) {
 	for {
 		co.dedup.mu.Lock()
 		joined := 0
-		for _, c := range co.dedup.calls {
-			joined += c.waiters
+		if len(co.dedup.calls) == 1 {
+			joined = 1 + int(co.dedup.coalesced) // the leader plus every joiner
 		}
 		co.dedup.mu.Unlock()
 		if joined == clients {

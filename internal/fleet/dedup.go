@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"repro/internal/flight"
 	"repro/internal/stashd"
 )
 
@@ -16,21 +17,13 @@ type outcome struct {
 }
 
 // call is one in-flight dispatch shared by every submitter of the same job
-// key — the runner's coalescing lifted to the fleet tier. Its execution is
-// detached from any single submitter: each joins as a waiter, and the
-// shared dispatch context is cancelled only when the last waiter has left.
-// One client disconnecting therefore cannot fail a dispatch another client
-// is still waiting on.
+// key. flight.Call carries the waiter protocol (see DESIGN.md
+// "Single-flight"): the dispatch context is cancelled only when the last
+// waiter has left.
 type call struct {
-	key    string
-	done   chan struct{}
-	cancel context.CancelFunc
-
-	waiters  int  //stash:guardedby dedup.mu
-	finished bool //stash:guardedby dedup.mu
-
-	// out and err are written once, before done closes, and only read
-	// after; the close is the publication barrier.
+	*flight.Call
+	// out and err are written once, before Finish, and only read after
+	// Done; the close is the publication barrier.
 	out *outcome
 	err error
 }
@@ -49,64 +42,50 @@ func newDedup() *dedup {
 }
 
 // do runs fn for key exactly once across every concurrent caller: the first
-// caller becomes the leader and executes fn on a goroutine with a context
-// that lives as long as any waiter remains; the rest join its call. Every
-// caller blocks until the shared dispatch finishes or its own ctx is
-// cancelled — and a caller abandoning the wait drops its registration, so
-// the dispatch itself is cancelled only when nobody is left wanting it.
+// caller starts a leader goroutine that executes fn under the call's
+// context; the rest join its call. Every caller blocks until the shared
+// dispatch finishes or its own ctx is cancelled. A call whose waiters have
+// all left is dead: its dispatch is being cancelled, and the next caller
+// replaces it.
 func (d *dedup) do(ctx context.Context, key string, fn func(ctx context.Context) (*outcome, error)) (*outcome, error) {
+	// do waits on the call itself and leaves when ctx ends, so it joins
+	// with a context that spawns no monitor goroutine.
+	interest := context.Background()
 	d.mu.Lock()
+	var leave func()
 	c, ok := d.calls[key]
 	if ok {
-		c.waiters++
-		d.coalesced++
-		d.mu.Unlock()
-	} else {
-		execCtx, cancel := context.WithCancel(context.Background())
-		c = &call{key: key, done: make(chan struct{}), cancel: cancel, waiters: 1}
-		d.calls[key] = c
-		d.mu.Unlock()
-		go func() {
-			out, err := fn(execCtx)
-			d.mu.Lock()
-			c.finished = true
-			if d.calls[key] == c {
-				delete(d.calls, key)
-			}
-			d.mu.Unlock()
-			c.out, c.err = out, err
-			close(c.done)
-			cancel() // release the context's resources; waiters are published
-		}()
+		leave, ok = c.Join(interest) // not ok: a dead call, replaced below
 	}
+	if ok {
+		d.coalesced++
+	} else {
+		c = &call{Call: flight.New()}
+		d.calls[key] = c
+		leave, _ = c.Join(interest)
+		go d.lead(key, c, fn)
+	}
+	d.mu.Unlock()
 
 	select {
-	case <-c.done:
+	case <-c.Done():
 		return c.out, c.err
 	case <-ctx.Done():
-		d.drop(c)
+		leave()
 		return nil, ctx.Err()
 	}
 }
 
-// drop releases one waiter registration; the last live waiter to leave an
-// unfinished call cancels its dispatch and retires the table entry so a
-// later identical submission starts fresh.
-func (d *dedup) drop(c *call) {
+// lead executes c's dispatch, retires its table entry (unless a dead call
+// was already replaced) and publishes the outcome.
+func (d *dedup) lead(key string, c *call, fn func(ctx context.Context) (*outcome, error)) {
+	c.out, c.err = fn(c.Context())
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c.finished {
-		return
+	if d.calls[key] == c {
+		delete(d.calls, key)
 	}
-	if c.waiters > 0 {
-		c.waiters--
-	}
-	if c.waiters == 0 {
-		c.cancel()
-		if d.calls[c.key] == c {
-			delete(d.calls, c.key)
-		}
-	}
+	d.mu.Unlock()
+	c.Finish()
 }
 
 // coalescedCount reports how many submissions joined an existing call.

@@ -48,10 +48,9 @@ func TestDedupCoalescesConcurrentCallers(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		d.mu.Lock()
-		c := d.calls["k"]
 		waiters := 0
-		if c != nil {
-			waiters = c.waiters
+		if d.calls["k"] != nil {
+			waiters = 1 + int(d.coalesced) // the leader plus every joiner
 		}
 		d.mu.Unlock()
 		if waiters == callers {
@@ -119,10 +118,9 @@ func TestDedupOneWaiterLeavingDoesNotCancelTheCall(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		d.mu.Lock()
-		c := d.calls["k"]
 		waiters := 0
-		if c != nil {
-			waiters = c.waiters
+		if d.calls["k"] != nil {
+			waiters = 1 + int(d.coalesced) // the leader plus every joiner
 		}
 		d.mu.Unlock()
 		if waiters == 2 {

@@ -145,12 +145,16 @@ func TestPeerHitProvenance(t *testing.T) {
 type slowStore struct {
 	inner resultStore
 	delay time.Duration
+	hold  chan struct{} // when non-nil, every probe also waits for its close
 	gets  atomic.Int64
 }
 
 func (s *slowStore) get(key string) (*system.Results, string, bool) {
 	s.gets.Add(1)
 	time.Sleep(s.delay)
+	if s.hold != nil {
+		<-s.hold
+	}
 	return s.inner.get(key)
 }
 
@@ -237,5 +241,130 @@ func TestSubmitProbeWaiterHonorsCancellation(t *testing.T) {
 	}
 	if waited := time.Since(start); waited > 200*time.Millisecond {
 		t.Fatalf("cancelled waiter still waited %v for the probe", waited)
+	}
+}
+
+// waitForProbe blocks until the store has seen n probes; the prober
+// publishes its job in the inflight table before it probes.
+func waitForProbe(t *testing.T, s *slowStore, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.gets.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("store probed %d times, want %d", s.gets.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSubmitDuringProbeJoinsTheProbingJob: an identical submission that
+// arrives while the disk probe runs joins the probing job itself, and
+// shares its cache-hit provenance.
+func TestSubmitDuringProbeJoinsTheProbingJob(t *testing.T) {
+	for _, tc := range []struct{ origin, want string }{
+		{"worker-a", HitDisk},
+		{"worker-b", HitPeer},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			leakcheck.Check(t)
+			dir := t.TempDir()
+			cfg := tinyConfig(5)
+			seed := New(Options{Workers: 1, CacheDir: dir, Origin: "worker-a"})
+			seed.execute = func(c system.Config) (*system.Results, error) { return fakeResults(c), nil }
+			if _, err := seed.Run(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			seed.Close()
+
+			r := New(Options{Workers: 1, CacheDir: dir, Origin: tc.origin})
+			defer r.Close()
+			store := &slowStore{inner: r.disk, hold: make(chan struct{})}
+			r.disk = store
+			r.execute = func(c system.Config) (*system.Results, error) {
+				t.Error("a disk-cached config was simulated")
+				return fakeResults(c), nil
+			}
+
+			first := make(chan *Job, 1)
+			go func() {
+				j, err := r.Submit(context.Background(), cfg)
+				if err != nil {
+					t.Error(err)
+				}
+				first <- j
+			}()
+			waitForProbe(t, store, 1)
+			joiner, err := r.Submit(context.Background(), cfg)
+			close(store.hold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prober := <-first
+			if prober == nil || joiner.ID() != prober.ID() {
+				t.Fatalf("submission during the probe got job %s, want the probing job", joiner.ID())
+			}
+			if _, err := joiner.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if n := store.gets.Load(); n != 1 {
+				t.Fatalf("disk probed %d times, want 1", n)
+			}
+			if m := r.Metrics(); m.JobsCoalesced != 1 {
+				t.Fatalf("JobsCoalesced = %d, want 1", m.JobsCoalesced)
+			}
+			if hit := joiner.Status().CacheHit; hit != tc.want {
+				t.Fatalf("shared provenance = %q, want %q", hit, tc.want)
+			}
+		})
+	}
+}
+
+// TestCloseDuringProbeFailsTheJob: Close while a disk probe runs fails the
+// probing job with ErrClosed, so every submission that joined it returns
+// from Wait instead of waiting on a job no worker will ever run.
+func TestCloseDuringProbeFailsTheJob(t *testing.T) {
+	leakcheck.Check(t)
+	r := New(Options{Workers: 1, CacheDir: t.TempDir()})
+	store := &slowStore{inner: r.disk, hold: make(chan struct{})}
+	r.disk = store
+	var executions atomic.Int64
+	r.execute = func(c system.Config) (*system.Results, error) {
+		executions.Add(1)
+		return fakeResults(c), nil
+	}
+
+	cfg := tinyConfig(6)
+	proberErr := make(chan error, 1)
+	go func() {
+		_, err := r.Submit(context.Background(), cfg)
+		proberErr <- err
+	}()
+	waitForProbe(t, store, 1)
+	const joiners = 3
+	jobs := make([]*Job, joiners)
+	for i := range jobs {
+		j, err := r.Submit(context.Background(), cfg)
+		if err != nil {
+			close(store.hold)
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	r.Close()
+	close(store.hold)
+
+	if err := <-proberErr; !errors.Is(err, ErrClosed) {
+		t.Fatalf("prober's Submit = %v, want ErrClosed", err)
+	}
+	for i, j := range jobs {
+		if _, err := j.Wait(context.Background()); !errors.Is(err, ErrClosed) {
+			t.Fatalf("joiner %d: Wait = %v, want ErrClosed", i, err)
+		}
+		if s := j.Status().State; s != StateFailed {
+			t.Fatalf("joiner %d: state = %s, want failed", i, s)
+		}
+	}
+	if n := executions.Load(); n != 0 {
+		t.Fatalf("a job closed during its probe was simulated %d times", n)
 	}
 }

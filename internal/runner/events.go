@@ -43,10 +43,11 @@ func (k EventKind) String() string {
 // synchronously from runner goroutines: handlers must be fast and safe for
 // concurrent calls, and must not Wait on the job they are told about.
 //
-// Ordering: a job's terminal event (EventFinished or EventFailed) is
-// delivered before the job's done channel closes, so once Job.Wait
-// returns, the handler has already seen every event of that job. Metrics
-// are updated before the terminal event is emitted.
+// Ordering: a job's EventQueued is delivered before a worker announces
+// its start or failure, and its terminal event (EventFinished or
+// EventFailed) is delivered before the job's done channel closes, so once
+// Job.Wait returns, the handler has already seen every event of that job.
+// Metrics are updated before the terminal event is emitted.
 type Event struct {
 	Kind   EventKind
 	JobID  string

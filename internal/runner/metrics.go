@@ -73,7 +73,7 @@ type Metrics struct {
 	// Retries counts re-attempts after transient failures.
 	Retries int64
 	// JobsCoalesced counts submissions that attached to an identical job
-	// already queued or running instead of spawning their own.
+	// already probing, queued or running instead of spawning their own.
 	JobsCoalesced int64
 
 	// Cache outcomes, judged at submission time. Peer hits are disk-store

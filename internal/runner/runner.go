@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/system"
 )
 
@@ -88,24 +89,24 @@ const (
 )
 
 // Job is one submitted simulation. Identical configs submitted while a job
-// is queued or running share that job.
+// is probing the disk cache, queued or running share that job.
 //
-// A job's execution is deliberately detached from any single submitter's
-// context: each submitter registers as a waiter, and the job's execCtx is
-// cancelled only when every cancellable waiter's context has been
-// cancelled. One client disconnecting therefore cannot fail a coalesced
-// job another client is still waiting on.
+// A job's execution is a flight.Call (see DESIGN.md "Single-flight"): it is
+// detached from any single submitter's context, each submitter joins as a
+// waiter, and the execution is cancelled only when every cancellable waiter
+// has left. One client disconnecting therefore cannot fail a coalesced job
+// another client is still waiting on.
 type Job struct {
-	id  string
-	key string
-	cfg system.Config
-	//stash:ignore ctxcheck the exec context is job-scoped by design: it must outlive any one submitter and is cancelled when the last waiter leaves
-	execCtx context.Context
-	cancel  context.CancelFunc
-	done    chan struct{}
+	id   string
+	key  string
+	cfg  system.Config
+	call *flight.Call
+	// queued is closed once EventQueued has been delivered; a worker waits
+	// for it before it announces the job's start or failure. Set before
+	// the job enters the pending queue.
+	queued chan struct{}
 
 	mu         sync.Mutex
-	waiters    int             //stash:guardedby mu
 	state      State           //stash:guardedby mu
 	enqueuedAt time.Time       //stash:guardedby mu
 	startedAt  time.Time       //stash:guardedby mu
@@ -126,82 +127,7 @@ func (j *Job) Key() string { return j.key }
 func (j *Job) Config() system.Config { return j.cfg }
 
 // Done returns a channel closed when the job finishes.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// waiter is one submitter's registration on a job. Dropping it is
-// idempotent: a registration is released at most once, whether by its
-// context monitor or by an explicit abort (RunAll's first-failure path),
-// so the job's waiter count can never be decremented twice for one
-// submitter.
-type waiter struct {
-	j    *Job
-	once sync.Once
-}
-
-// drop releases this registration; the last live waiter to leave an
-// unfinished job cancels its execution. Safe on a nil or empty handle.
-func (w *waiter) drop() {
-	if w == nil || w.j == nil {
-		return
-	}
-	w.once.Do(w.j.dropWaiter)
-}
-
-// register records one submitter's interest in j and returns the handle
-// that releases it. A nil handle means j is dead — its execution context
-// was already cancelled (the last prior waiter left) while the job still
-// sat in the queue — and the caller must not coalesce onto it. A finished
-// job registers trivially (its result is already published) and returns a
-// no-op handle. When ctx can be cancelled, a monitor goroutine drops the
-// registration on cancellation; a context that can never be cancelled
-// pins the job to completion. The liveness check and the waiter increment
-// happen under j.mu, the same lock dropWaiter cancels under, so a
-// registration can never land on a job in the instant its execution is
-// being cancelled.
-func (j *Job) register(ctx context.Context) *waiter {
-	j.mu.Lock()
-	if j.state == StateDone || j.state == StateFailed {
-		j.mu.Unlock()
-		return &waiter{}
-	}
-	if j.execCtx != nil && j.execCtx.Err() != nil {
-		j.mu.Unlock()
-		return nil
-	}
-	j.waiters++
-	j.mu.Unlock()
-	w := &waiter{j: j}
-	if ctx.Done() == nil {
-		return w
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			w.drop()
-		case <-j.done:
-		}
-	}()
-	return w
-}
-
-// dropWaiter removes one registration; the last one out cancels the
-// execution. Finished jobs are left untouched — their monitors can race
-// completion (both select branches ready), and decrementing then would
-// break the waiters >= 0 invariant. Cancelling under j.mu makes the
-// decision atomic with register's liveness check.
-func (j *Job) dropWaiter() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == StateDone || j.state == StateFailed {
-		return
-	}
-	if j.waiters > 0 {
-		j.waiters--
-	}
-	if j.waiters == 0 && j.cancel != nil {
-		j.cancel()
-	}
-}
+func (j *Job) Done() <-chan struct{} { return j.call.Done() }
 
 // Wait blocks until the job finishes or ctx is cancelled. A cancelled wait
 // abandons only this waiter; the job itself keeps running for others.
@@ -210,7 +136,7 @@ func (j *Job) Wait(ctx context.Context) (*system.Results, error) {
 		ctx = context.Background()
 	}
 	select {
-	case <-j.done:
+	case <-j.call.Done():
 		j.mu.Lock()
 		defer j.mu.Unlock()
 		return j.result, j.err
@@ -293,10 +219,11 @@ func IsTransient(err error) bool {
 // Runner executes simulation jobs. Create one with New and release it with
 // Close.
 //
-// Lock discipline: Runner.mu orders before Job.mu — submit registers waiters
-// (which lock the job) while holding the runner lock, so the reverse nesting
-// would deadlock. finish and process lock them strictly in sequence, never
-// nested the other way.
+// Lock discipline: Runner.mu orders before Job.mu and before a job's
+// flight.Call lock — submit completes cached jobs (locking the job) and
+// joins calls while holding the runner lock, so the reverse nesting would
+// deadlock. finish and process lock them strictly in sequence, never nested
+// the other way.
 //
 //stash:lockorder Runner.mu < Job.mu
 type Runner struct {
@@ -310,28 +237,16 @@ type Runner struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// pending is the FIFO work queue; inflight maps key to its queued or
-	// running job; jobs maps id to job (bounded retention); finished holds
-	// finished job ids, oldest first; probes maps key to the in-flight
-	// disk-cache probe for it (single-flight: one prober per key).
-	pending  []*Job                //stash:guardedby mu
-	inflight map[string]*Job       //stash:guardedby mu
-	jobs     map[string]*Job       //stash:guardedby mu
-	finished []string              //stash:guardedby mu
-	probes   map[string]*diskProbe //stash:guardedby mu
-	seq      int                   //stash:guardedby mu
-	closed   bool                  //stash:guardedby mu
+	// pending is the FIFO work queue; inflight maps key to its probing,
+	// queued or running job; jobs maps id to job (bounded retention);
+	// finished holds finished job ids, oldest first.
+	pending  []*Job          //stash:guardedby mu
+	inflight map[string]*Job //stash:guardedby mu
+	jobs     map[string]*Job //stash:guardedby mu
+	finished []string        //stash:guardedby mu
+	seq      int             //stash:guardedby mu
+	closed   bool            //stash:guardedby mu
 	wg       sync.WaitGroup
-}
-
-// diskProbe single-flights the unlocked disk-cache probe for one key: the
-// first submitter of a key becomes the prober, identical submissions that
-// race it park on done instead of probing (and possibly enqueueing) on
-// their own. done is closed after the prober has published its outcome —
-// a cache-completed job or an enqueued inflight job — under the runner
-// lock, so woken waiters always find one of the two.
-type diskProbe struct {
-	done chan struct{}
 }
 
 // New starts a runner and its worker pool.
@@ -353,7 +268,6 @@ func New(opts Options) *Runner {
 		mem:      newMemCache(memEntries),
 		inflight: make(map[string]*Job),
 		jobs:     make(map[string]*Job),
-		probes:   make(map[string]*diskProbe),
 	}
 	if opts.CacheDir != "" {
 		r.disk = newDiskCache(opts.CacheDir, opts.Origin)
@@ -393,25 +307,28 @@ func (r *Runner) RunAll(ctx context.Context, cfgs []system.Config) error {
 
 	seen := make(map[string]bool, len(cfgs))
 	var jobs []*Job
-	var waiters []*waiter
+	var leaves []func()
+	// abort leaves the jobs newest first: each job RunAll created sits in
+	// the queue behind the ones before it, so a worker freed by one job's
+	// cancellation never finds a later job still live.
 	abort := func() {
-		for _, w := range waiters {
-			w.drop()
+		for i := len(leaves) - 1; i >= 0; i-- {
+			leaves[i]()
 		}
 	}
 	for _, cfg := range cfgs {
-		j, w, err := r.submit(ctx, cfg)
+		j, leave, err := r.submit(ctx, cfg)
 		if err != nil {
 			abort() // synchronously cancel the already-queued jobs
 			return err
 		}
 		if seen[j.key] {
-			w.drop() // duplicate registration on a job already held above
+			leave() // duplicate registration on a job already held above
 			continue
 		}
 		seen[j.key] = true
 		jobs = append(jobs, j)
-		waiters = append(waiters, w)
+		leaves = append(leaves, leave)
 	}
 
 	errc := make(chan error, len(jobs))
@@ -426,26 +343,29 @@ func (r *Runner) RunAll(ctx context.Context, cfgs []system.Config) error {
 		//stash:blocking every Wait honors ctx, which the first failure cancels, so each waiter goroutine delivers exactly one result
 		if err := <-errc; err != nil && firstErr == nil {
 			firstErr = err
-			cancel() // fail the remaining Waits promptly
 			abort()  // synchronously cancel every job not shared with others
+			cancel() // fail the remaining Waits promptly
 		}
 	}
 	return firstErr
 }
 
 // Submit enqueues cfg and returns its job without waiting. Cache hits
-// return an already-finished job; an identical queued or running config
-// returns that existing job.
+// return an already-finished job; an identical probing, queued or running
+// config returns that existing job. An already-cancelled ctx is refused.
 func (r *Runner) Submit(ctx context.Context, cfg system.Config) (*Job, error) {
 	j, _, err := r.submit(ctx, cfg)
 	return j, err
 }
 
-// submit is Submit plus the waiter handle for the registration it made,
-// letting RunAll abandon its jobs synchronously on first failure.
-func (r *Runner) submit(ctx context.Context, cfg system.Config) (*Job, *waiter, error) {
+// submit is Submit plus the leave for the registration it made, letting
+// RunAll abandon its jobs synchronously on first failure.
+func (r *Runner) submit(ctx context.Context, cfg system.Config) (*Job, func(), error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -462,129 +382,73 @@ func (r *Runner) submit(ctx context.Context, cfg system.Config) (*Job, *waiter, 
 	}
 	if !r.opts.DisableCache {
 		if j, ok := r.inflight[key]; ok {
-			if w := j.register(ctx); w != nil {
+			if leave, ok := j.call.Join(ctx); ok {
 				r.met.coalesced.Add(1)
 				r.mu.Unlock()
-				return j, w, nil
+				return j, leave, nil
 			}
 			// Dead entry: its execution was cancelled after the last
-			// waiter left, but a worker has not retired it yet. Fall
-			// through and build a fresh job; overwriting r.inflight[key]
-			// below is safe because finish only deletes the entry while
-			// it still points at the dead job.
+			// waiter left, but it has not been retired yet. Build a fresh
+			// job; overwriting r.inflight[key] below is safe because
+			// retireLocked only deletes the entry while it still points at
+			// the dead job.
 		}
 		if res, ok := r.mem.get(key); ok {
-			j := r.completeFromCacheLocked(key, cfg, res, HitMemory)
+			j := r.newJobLocked(key, cfg)
+			r.completeFromCacheLocked(j, res, HitMemory)
 			r.mu.Unlock()
 			r.emitCached(j)
-			return j, &waiter{}, nil
+			return j, func() {}, nil
 		}
 	}
 
-	if r.disk == nil || r.opts.DisableCache {
-		// No persistent tier to probe: enqueue under the same lock that
-		// ruled out coalescing, leaving no window for a duplicate.
-		j, w := r.enqueueLocked(ctx, key, cfg)
-		r.mu.Unlock()
-		r.emit(Event{Kind: EventQueued, JobID: j.id, Key: key, Config: cfg})
-		return j, w, nil
-	}
-
-	// The disk probe is file IO and happens outside the lock — but it is
-	// single-flighted per key. The first submitter becomes the prober;
-	// identical submissions racing it park on the probe instead of
-	// slipping past the unlocked window and enqueueing a duplicate
-	// multi-second simulation (a real cost once a fleet multiplies
-	// submitters of the same sweep).
-	for {
-		p, ok := r.probes[key]
-		if !ok {
-			break // no probe in flight: become the prober
-		}
-		r.mu.Unlock()
-		select {
-		case <-p.done:
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return nil, nil, ErrClosed
-		}
-		// The prober published its outcome before closing done: an
-		// inflight job to coalesce onto, or a cached result now in memory.
-		if j, ok := r.inflight[key]; ok {
-			if w := j.register(ctx); w != nil {
-				r.met.coalesced.Add(1)
-				r.mu.Unlock()
-				return j, w, nil
-			}
-		}
-		if res, ok := r.mem.get(key); ok {
-			j := r.completeFromCacheLocked(key, cfg, res, HitMemory)
-			r.mu.Unlock()
-			r.emitCached(j)
-			return j, &waiter{}, nil
-		}
-		// Neither survived (the job finished and its entry was evicted, or
-		// a fresh probe started): loop, and probe ourselves if the slot is
-		// free.
-	}
-	p := &diskProbe{done: make(chan struct{})}
-	r.probes[key] = p
-	r.mu.Unlock()
-
-	res, origin, hit := r.disk.get(key)
-
-	r.mu.Lock()
-	delete(r.probes, key)
-	if r.closed {
-		r.mu.Unlock()
-		close(p.done)
-		return nil, nil, ErrClosed
-	}
-	if hit {
-		r.mem.put(key, res)
-		prov := HitDisk
-		if origin != "" && origin != r.opts.Origin {
-			// The entry was populated by another node sharing the store.
-			prov = HitPeer
-		}
-		j := r.completeFromCacheLocked(key, cfg, res, prov)
-		r.mu.Unlock()
-		close(p.done)
-		r.emitCached(j)
-		return j, &waiter{}, nil
-	}
-	j, w := r.enqueueLocked(ctx, key, cfg)
-	r.mu.Unlock()
-	close(p.done)
-	r.emit(Event{Kind: EventQueued, JobID: j.id, Key: key, Config: cfg})
-	return j, w, nil
-}
-
-// enqueueLocked constructs, registers and queues a fresh job for key.
-//
-//stash:locked mu
-func (r *Runner) enqueueLocked(ctx context.Context, key string, cfg system.Config) (*Job, *waiter) {
-	j := r.newJobLocked(key, cfg, StateQueued)
-	j.execCtx, j.cancel = context.WithCancel(context.Background())
-	// Register before the job is published: no other goroutine can see j
-	// yet, so the fresh execCtx cannot be cancelled and w is never nil.
-	w := j.register(ctx)
+	// Nobody else can reach the fresh job's call yet, so joining it cannot
+	// fail.
+	j := r.newJobLocked(key, cfg)
+	leave, _ := j.call.Join(ctx)
 	if !r.opts.DisableCache {
 		r.inflight[key] = j
 	}
+	if r.disk != nil && !r.opts.DisableCache {
+		// The disk probe is file IO and happens outside the lock. The job
+		// is already in inflight, so identical submissions arriving
+		// meanwhile join it instead of probing (and possibly simulating)
+		// on their own.
+		r.mu.Unlock()
+		res, origin, hit := r.disk.get(key)
+		r.mu.Lock()
+		if r.closed {
+			r.mu.Unlock()
+			r.settle(j, nil, ErrClosed) // joiners' Waits return
+			j.call.Finish()
+			return nil, nil, ErrClosed
+		}
+		if hit {
+			r.mem.put(key, res)
+			prov := HitDisk
+			if origin != "" && origin != r.opts.Origin {
+				// The entry was populated by another node sharing the store.
+				prov = HitPeer
+			}
+			r.completeFromCacheLocked(j, res, prov)
+			r.mu.Unlock()
+			r.emitCached(j)
+			return j, leave, nil
+		}
+	}
+	j.queued = make(chan struct{})
 	r.pending = append(r.pending, j)
 	r.met.queued.Add(1)
 	r.met.misses.Add(1)
 	r.cond.Signal()
-	return j, w
+	r.mu.Unlock()
+	r.emit(Event{Kind: EventQueued, JobID: j.id, Key: key, Config: cfg})
+	close(j.queued)
+	return j, leave, nil
 }
 
-// Job returns a job by ID while it is queued, running, or among the most
-// recently finished.
+// Job returns a job by ID while it is probing, queued, running, or among
+// the most recently finished.
 func (r *Runner) Job(id string) (*Job, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -602,7 +466,8 @@ func (r *Runner) QueueDepth() int {
 
 // Close stops accepting submissions and blocks until every queued and
 // running job has drained. Queued jobs whose context is already cancelled
-// finish immediately as failed; running simulations complete.
+// finish immediately as failed; running simulations complete. A job still
+// probing the disk cache fails with ErrClosed once its probe returns.
 func (r *Runner) Close() {
 	r.mu.Lock()
 	if !r.closed {
@@ -613,39 +478,38 @@ func (r *Runner) Close() {
 	r.wg.Wait() //stash:blocking Close drains by contract: setting closed wakes every worker, queued jobs finish or fail fast
 }
 
-// newJobLocked constructs a job and publishes it in the job table. The
-// initial state is part of construction: the table makes the job visible to
-// Job/Status lookups, so mutating j.state after insertion would race them
-// (a finding lockcheck surfaced once the fields were annotated).
+// newJobLocked constructs a queued job and publishes it in the job table.
+// The table makes the job visible to Job/Status lookups, so later state
+// changes happen under j.mu.
 //
 //stash:locked mu
-func (r *Runner) newJobLocked(key string, cfg system.Config, state State) *Job {
+func (r *Runner) newJobLocked(key string, cfg system.Config) *Job {
 	r.seq++
 	j := &Job{
 		id:         fmt.Sprintf("job-%06d", r.seq),
 		key:        key,
 		cfg:        cfg,
-		done:       make(chan struct{}),
+		call:       flight.New(),
 		enqueuedAt: time.Now(),
-		state:      state,
+		state:      StateQueued,
 	}
 	r.jobs[j.id] = j
 	return j
 }
 
-// completeFromCacheLocked creates a job that is already done. The job gets
-// a deep copy of the cached result: the cache retains sole ownership of
-// its entry, so a caller mutating what it was handed cannot corrupt every
-// future hit on the same key. Its done channel stays open until
-// emitCached has delivered the job's events.
+// completeFromCacheLocked finishes j from a cache hit. The job gets a deep
+// copy of the cached result: the cache retains sole ownership of its entry,
+// so a caller mutating what it was handed cannot corrupt every future hit
+// on the same key. Its call stays unfinished until emitCached has delivered
+// the job's events.
 //
 //stash:locked mu
-func (r *Runner) completeFromCacheLocked(key string, cfg system.Config, res *system.Results, hit string) *Job {
-	j := r.newJobLocked(key, cfg, StateDone)
+func (r *Runner) completeFromCacheLocked(j *Job, res *system.Results, hit string) {
 	j.mu.Lock()
+	j.state = StateDone
 	j.cacheHit = hit
 	j.result = res.Clone()
-	j.finishedAt = j.enqueuedAt
+	j.finishedAt = time.Now()
 	j.mu.Unlock()
 	r.met.queued.Add(1)
 	r.met.completed.Add(1)
@@ -657,8 +521,7 @@ func (r *Runner) completeFromCacheLocked(key string, cfg system.Config, res *sys
 	default:
 		r.met.hitsDisk.Add(1)
 	}
-	r.retainLocked(j)
-	return j
+	r.retireLocked(j)
 }
 
 // emitCached announces a cache-completed job, then releases its waiters,
@@ -672,7 +535,18 @@ func (r *Runner) emitCached(j *Job) {
 	j.mu.Unlock()
 	r.emit(Event{Kind: EventQueued, JobID: j.id, Key: j.key, Config: j.cfg, CacheHit: hit})
 	r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, CacheHit: hit, Result: res})
-	close(j.done)
+	j.call.Finish()
+}
+
+// retireLocked drops a finished job from the inflight table (unless a
+// fresh job already replaced it there) and keeps it queryable by ID.
+//
+//stash:locked mu
+func (r *Runner) retireLocked(j *Job) {
+	if r.inflight[j.key] == j {
+		delete(r.inflight, j.key)
+	}
+	r.retainLocked(j)
 }
 
 // retainLocked records a finished job and evicts the oldest beyond the
@@ -707,7 +581,8 @@ func (r *Runner) worker() {
 
 // process runs one queued job to completion (or failure).
 func (r *Runner) process(j *Job) {
-	if err := j.execCtx.Err(); err != nil {
+	<-j.queued //stash:blocking closed by submit right after it delivers EventQueued, so a job's events stay in order
+	if err := j.call.Context().Err(); err != nil {
 		r.finish(j, nil, fmt.Errorf("runner: job %s cancelled before start: %w", j.id, err), 0)
 		return
 	}
@@ -732,7 +607,7 @@ func (r *Runner) process(j *Job) {
 		j.attempts = attempt
 		j.mu.Unlock()
 		res, err = r.runOnce(j)
-		if err == nil || !IsTransient(err) || j.execCtx.Err() != nil || attempt == maxAttempts {
+		if err == nil || !IsTransient(err) || j.call.Context().Err() != nil || attempt == maxAttempts {
 			break
 		}
 		r.met.retries.Add(1)
@@ -786,8 +661,8 @@ func (r *Runner) runOnce(j *Job) (*system.Results, error) {
 		return o.res, o.err
 	case <-timeoutC:
 		return nil, fmt.Errorf("runner: job %s exceeded timeout %v", j.id, r.opts.Timeout)
-	case <-j.execCtx.Done():
-		return nil, j.execCtx.Err()
+	case <-j.call.Context().Done():
+		return nil, j.call.Context().Err()
 	}
 }
 
@@ -795,6 +670,20 @@ func (r *Runner) runOnce(j *Job) (*system.Results, error) {
 // then publishes the outcome to waiters: a Wait that returns has the
 // job's terminal event already delivered (see Event).
 func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duration) {
+	attempt := r.settle(j, res, err)
+	if err != nil {
+		r.met.failed.Add(1)
+		r.emit(Event{Kind: EventFailed, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Err: err})
+	} else {
+		r.met.completed.Add(1)
+		r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Result: res})
+	}
+	j.call.Finish()
+}
+
+// settle records j's outcome and retires it, returning its attempt count.
+// The caller still owes the job's Finish.
+func (r *Runner) settle(j *Job, res *system.Results, err error) (attempt int) {
 	j.mu.Lock()
 	j.finishedAt = time.Now()
 	j.result = res
@@ -804,25 +693,11 @@ func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duratio
 	} else {
 		j.state = StateDone
 	}
-	attempt := j.attempts
+	attempt = j.attempts
 	j.mu.Unlock()
 
 	r.mu.Lock()
-	if r.inflight[j.key] == j {
-		delete(r.inflight, j.key)
-	}
-	r.retainLocked(j)
+	r.retireLocked(j)
 	r.mu.Unlock()
-
-	if err != nil {
-		r.met.failed.Add(1)
-		r.emit(Event{Kind: EventFailed, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Err: err})
-	} else {
-		r.met.completed.Add(1)
-		r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Result: res})
-	}
-	close(j.done)
-	if j.cancel != nil {
-		j.cancel() // release the exec context and its waiter monitors
-	}
+	return attempt
 }

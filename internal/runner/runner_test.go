@@ -510,7 +510,7 @@ func waitForExecCancelled(t *testing.T, j *Job) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if j.execCtx.Err() != nil {
+		if j.call.Context().Err() != nil {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -617,6 +617,42 @@ func TestJobLookupAndEvents(t *testing.T) {
 	s := j.Status()
 	if s.State != StateDone || s.Workload != "blackscholes" || s.Cycles != 1 {
 		t.Fatalf("unexpected status: %+v", s)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []EventKind{EventQueued, EventStarted, EventFinished}
+	if len(kinds) != len(want) {
+		t.Fatalf("events = %v, want %v", kinds, want)
+	}
+	for i := range want {
+		if kinds[i] != want[i] {
+			t.Fatalf("events = %v, want %v", kinds, want)
+		}
+	}
+}
+
+// TestQueuedEventPrecedesStart is the regression test for the queued-event
+// race: submit delivered EventQueued after the job was already visible to
+// the workers, so a worker could announce the job's start and finish first.
+// A slow handler for the queued event holds that window open.
+func TestQueuedEventPrecedesStart(t *testing.T) {
+	leakcheck.Check(t)
+	var mu sync.Mutex
+	var kinds []EventKind
+	r := New(Options{Workers: 1, Events: func(e Event) {
+		if e.Kind == EventQueued {
+			time.Sleep(20 * time.Millisecond)
+		}
+		mu.Lock()
+		kinds = append(kinds, e.Kind)
+		mu.Unlock()
+	}})
+	defer r.Close()
+	r.execute = func(cfg system.Config) (*system.Results, error) {
+		return fakeResults(cfg), nil
+	}
+	if _, err := r.Run(context.Background(), tinyConfig(1)); err != nil {
+		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()

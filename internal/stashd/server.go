@@ -169,7 +169,9 @@ func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 	}
 	job, err := s.runner.Submit(req.Context(), cfg)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
+		if req.Context().Err() == nil { // a gone client gets no response
+			httpError(w, http.StatusServiceUnavailable, err)
+		}
 		return
 	}
 	res, err := job.Wait(req.Context())
@@ -221,7 +223,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 	for _, cfg := range cfgs {
 		job, err := s.runner.Submit(req.Context(), cfg)
 		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, err)
+			if req.Context().Err() == nil { // a gone client gets no response
+				httpError(w, http.StatusServiceUnavailable, err)
+			}
 			return
 		}
 		jobs = append(jobs, job)
@@ -320,7 +324,9 @@ func (s *Server) handleInternalRun(w http.ResponseWriter, req *http.Request) {
 	}
 	job, err := s.runner.Submit(req.Context(), ir.Config)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
+		if req.Context().Err() == nil { // a gone client gets no response
+			httpError(w, http.StatusServiceUnavailable, err)
+		}
 		return
 	}
 	res, err := job.Wait(req.Context())

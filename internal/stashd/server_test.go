@@ -194,6 +194,29 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedConfigRejected: size knobs past system.Config's bounds are a
+// client error. The dirWays body used to pass validation and panic inside
+// the simulation, which the runner retried as transient before the server
+// answered 500.
+func TestOversizedConfigRejected(t *testing.T) {
+	leakcheck.Check(t)
+	ts, _ := newTestServer(t, "")
+	for _, body := range []string{
+		`{"workload":"canneal","quick":true,"cores":4,"accessesPerCore":50,"dirWays":4611686018427387904}`,
+		`{"workload":"canneal","quick":true,"cores":4,"accessesPerCore":50,"coverage":1e30}`,
+		`{"workload":"canneal","quick":true,"cores":4,"accessesPerCore":50,"l2Sets":-256,"l2Ways":8}`,
+	} {
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", body, resp.StatusCode)
+		}
+	}
+}
+
 // TestConcurrentSweepsShareDiskCache is the acceptance scenario: two
 // concurrent identical sweeps against one server simulate each config at
 // most once (coalescing or cache hits cover the overlap), and a third

@@ -99,6 +99,15 @@ type Config struct {
 	BankLatency uint64
 }
 
+// Bounds on the directory's size knobs. The paper's sweeps use coverage up
+// to 2 and 2- to 16-way directories; the bounds leave headroom above that
+// while rejecting values that would overflow the entry count or ask for
+// gigabytes of directory.
+const (
+	MaxCoverage = 16
+	MaxDirWays  = 64
+)
+
 // DefaultConfig returns the paper's 16-core model running the given
 // workload with the stash directory at 1x coverage.
 func DefaultConfig(workload string) Config {
@@ -177,8 +186,11 @@ func (c *Config) Validate() error {
 	if c.DirKind != DirFullMap && c.Coverage <= 0 {
 		return fmt.Errorf("system: coverage must be positive, got %v", c.Coverage)
 	}
-	if c.DirWays < 1 {
-		return fmt.Errorf("system: directory ways must be >= 1, got %d", c.DirWays)
+	if !(c.Coverage <= MaxCoverage) { // also rejects NaN
+		return fmt.Errorf("system: coverage must be at most %v, got %v", MaxCoverage, c.Coverage)
+	}
+	if c.DirWays < 1 || c.DirWays > MaxDirWays {
+		return fmt.Errorf("system: directory ways must be in [1,%d], got %d", MaxDirWays, c.DirWays)
 	}
 	selected := 0
 	if c.Workload != "" {
@@ -204,6 +216,9 @@ func (c *Config) Validate() error {
 	}
 	if c.WorkloadScale <= 0 {
 		return fmt.Errorf("system: workload scale must be positive, got %v", c.WorkloadScale)
+	}
+	if c.L2Sets < 0 || c.L2Ways < 0 {
+		return fmt.Errorf("system: L2 sets and ways must not be negative (got %dx%d)", c.L2Sets, c.L2Ways)
 	}
 	if (c.L2Sets == 0) != (c.L2Ways == 0) {
 		return fmt.Errorf("system: L2 sets and ways must be set together (got %dx%d)", c.L2Sets, c.L2Ways)

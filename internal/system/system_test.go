@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -48,6 +49,40 @@ func TestValidation(t *testing.T) {
 	c := DefaultConfig("canneal")
 	if err := c.Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+}
+
+// TestValidateBoundsSizeKnobs: oversized directory knobs and negative L2
+// dimensions are rejected with an error, never left to overflow or panic in
+// Run; the largest in-bound values stay valid.
+func TestValidateBoundsSizeKnobs(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(*Config)
+		ok      bool
+	}{
+		{"dirWays 2^62", func(c *Config) { c.DirWays = 1 << 62 }, false},
+		{"dirWays above max", func(c *Config) { c.DirWays = MaxDirWays + 1 }, false},
+		{"dirWays at max", func(c *Config) { c.DirWays = MaxDirWays }, true},
+		{"coverage 1e30", func(c *Config) { c.Coverage = 1e30 }, false},
+		{"coverage 1e6", func(c *Config) { c.Coverage = 1e6 }, false},
+		{"coverage NaN", func(c *Config) { c.Coverage = math.NaN() }, false},
+		{"coverage +Inf", func(c *Config) { c.Coverage = math.Inf(1) }, false},
+		{"coverage at max", func(c *Config) { c.Coverage = MaxCoverage }, true},
+		{"fullmap coverage 1e30", func(c *Config) { c.DirKind = DirFullMap; c.Coverage = 1e30 }, false},
+		{"negative L2 sets", func(c *Config) { c.L2Sets, c.L2Ways = -256, 8 }, false},
+		{"negative L2 ways", func(c *Config) { c.L2Sets, c.L2Ways = 256, -8 }, false},
+		{"both L2 negative", func(c *Config) { c.L2Sets, c.L2Ways = -1, -1 }, false},
+		{"L2 256x8", func(c *Config) { c.L2Sets, c.L2Ways = 256, 8 }, true},
+	}
+	for _, tc := range cases {
+		c := QuickConfig("canneal")
+		c.Cores = 4
+		c.AccessesPerCore = 50
+		tc.corrupt(&c)
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 
